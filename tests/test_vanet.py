@@ -1,5 +1,8 @@
 """Discrete-event vehicular network: topology, donation flow, metrics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from kljnsim import (
     donation_window,
     make_homogeneous_scenario,
 )
+from kljnsim.cli import main as cli_main
 from kljnsim.vanet import EventKind
 
 
@@ -284,3 +288,84 @@ class TestScenarioParsing:
             ProtocolParams(gamma=0.5)
         with pytest.raises(InvalidParameterError):
             ProtocolParams(key_bits=0)
+
+
+def churn_spec(endpoint="rsd"):
+    """Two RSDs, four lanes, Poisson arrivals with departures, 600 s keys
+    and the event log."""
+    owners = ("rsd-1", "rsd-1", "rsd-2", "rsd-2")
+    rskps = [
+        {"id": f"rskp-{i + 1}", "rsd": rsd, "lane": f"lane-{i + 1}",
+         "pad_length_m": 2.0, "transfer_rate_bps": 1e6}
+        for i, rsd in enumerate(owners)
+    ]
+    rskps[3]["detector_latency_s"] = 0.07
+    if endpoint == "rskp":
+        for i, rskp in enumerate(rskps):
+            rskp["line"] = {"line_length": 50_000.0 * (i + 1)}
+    return {
+        "duration_s": 3000.0,
+        "seed": 1,
+        "record_events": True,
+        "protocol": {"gamma": 100.0, "key_bits": 100},
+        "topology": {
+            "kljn_endpoint": endpoint,
+            "rsds": [
+                {"id": "rsd-1", "line": {"line_length": 20_000.0}},
+                {"id": "rsd-2", "line": {"line_length": 80_000.0}},
+            ],
+            "rskps": rskps,
+        },
+        "traffic": {
+            "circuit_length": 3000.0,
+            "speed_range": [25.0, 35.0],
+            "initial_vehicles_per_lane": 10,
+            "arrival_rate_per_lane": 0.02,
+            "mean_dwell_s": 800.0,
+            "provision_keys": True,
+            "key_ttl_s": 600.0,
+        },
+        "pool": {"capacity_bits": 2000, "initial_fill": 0.5},
+    }
+
+
+# sha256 of metrics.csv, rsd_metrics.csv and events.csv (None: not written).
+# Key values never steer the event loop, so a change of key representation
+# or of engine internals must leave every byte of these files as it is.
+PINNED_OUTPUTS = {
+    "saturated": (
+        make_homogeneous_scenario(
+            vehicle_count=300, duration_s=2000.0, seed=1,
+            circuit_length=3000.0, initial_fill=0.0),
+        ("21162cd505b5da8fd4dca6384b2fa8c2d4f22966bbaf6d735cea790b5c5af592",
+         "f6e5a4ed6859b7f689568770d6c408fbcbb6817b2b09ff9fdc496176b244796d",
+         None),
+    ),
+    "churn": (
+        churn_spec(),
+        ("02a90634cd96661aee48d5aeb381fda46ee94e7287ec2004bc9fbdca82768fdb",
+         "8dac60f8101f059a7af52a85646cfbf24e2b7f4e680997cf479d09f0ebdb542e",
+         "b36c0fc3a2d92ce4bd8b52130472d648e39ae1f093a5259639e7b473451671b1"),
+    ),
+    "churn-rskp": (
+        churn_spec("rskp"),
+        ("ef93e884ca255d7a27bc21eb08a7770793a7a9833fc841dcaad9144dc4b1d209",
+         "06d06de0adbd759bc0992650aa723c8908c24f1d40e03ea826b34bec05c6f862",
+         "48065110ec6514cc12e0d6540ad106f8c511eeee2f4f30c2e333e32177276b90"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_simulate_outputs_pinned(name, tmp_path):
+    spec, digests = PINNED_OUTPUTS[name]
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(config), "--seed", "7",
+                     "--out", str(out)]) == 0
+    got = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        for path in (out / f for f in ("metrics.csv", "rsd_metrics.csv", "events.csv"))
+    )
+    assert got == digests
