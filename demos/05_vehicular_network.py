@@ -5,8 +5,6 @@ then check the measured refresh interval against the planner's upper limit.
 Run: python3 demos/05_vehicular_network.py   (takes a few seconds)
 """
 
-import numpy as np
-
 from kljnsim import (
     LifetimeParams,
     Scenario,
@@ -37,8 +35,7 @@ print(f"event log          : {sum(kinds.values())} events {kinds}")
 # One-time-pad integrity: every donated key decrypts under the former key.
 with_donations = Scenario.from_dict(spec).run(record_donations=True)
 ok = all(
-    np.array_equal(np.bitwise_xor(d.ciphertext, d.former_key), d.new_key)
-    for d in with_donations.donations
+    d.ciphertext ^ d.former_key == d.new_key for d in with_donations.donations
 )
 print(f"one-time-pad check : all {len(with_donations.donations)} ciphertexts "
       f"decrypt correctly: {ok}")

@@ -16,8 +16,10 @@ scenario seed.
 from __future__ import annotations
 
 import heapq
+import random
+import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -70,7 +72,6 @@ class Rsd:
 
     id: str
     line: KljnLineConfig
-    high_speed_link: bool = True
     parallel_channels: int = 1
     rskps: tuple[Rskp, ...] = ()
 
@@ -127,7 +128,7 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
     Expected shape::
 
         {"kljn_endpoint": "rsd" | "rskp",
-         "rsds":  [{"id", "line": {...}, "high_speed_link", "parallel_channels"}],
+         "rsds":  [{"id", "line": {...}, "parallel_channels"}],
          "rskps": [{"id", "rsd", "lane", "pad_length_m", "transfer_rate_bps",
                     "detector_latency_s", "pad_position_m", "line": {...}}]}
     """
@@ -211,7 +212,6 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
             Rsd(
                 id=rsd_id,
                 line=_parse_line(line, f"rsd {rsd_id!r}"),
-                high_speed_link=bool(rd.get("high_speed_link", True)),
                 parallel_channels=channels,
                 rskps=tuple(rskps_by_rsd[rsd_id]),
             )
@@ -325,9 +325,16 @@ def detection_time(pad_entry_s: float, detector_latency_s: float) -> float:
     return pad_entry_s + detector_latency_s
 
 
-@dataclass
+def _key_source(seed: np.random.SeedSequence) -> random.Random:
+    """Key stream of one seed: ``getrandbits(key_bits)`` draws a uniform key
+    in ``[0, 2**key_bits)`` in one call."""
+    return random.Random(int(seed.generate_state(1, np.uint64)[0]))
+
+
+@dataclass(slots=True)
 class Vehicle:
-    """Mutable per-vehicle state tracked by the simulation."""
+    """Mutable per-vehicle state tracked by the simulation; keys are
+    ``key_bits``-bit ints."""
 
     id: int
     lane: str
@@ -335,19 +342,14 @@ class Vehicle:
     pos0: float
     t0: float
     arrival_time: float
-    current_key: np.ndarray | None = None
-    former_key: np.ndarray | None = None
+    current_key: int | None = None
+    former_key: int | None = None
     key_issued_at: float | None = None
     departed_at: float | None = None
     donated_bits: int = 0
     refresh_sum: float = 0.0
     refresh_count: int = 0
     refresh_max: float = 0.0
-
-    def key_age(self, now: float) -> float | None:
-        if self.current_key is None:
-            return None
-        return now - self.key_issued_at
 
     def position_at(self, now: float, circuit: float) -> float:
         return (self.pos0 + self.speed * (now - self.t0)) % circuit
@@ -387,9 +389,9 @@ class DonationRecord:
     rsd_id: str
     rskp_id: str
     lane: str
-    ciphertext: np.ndarray
-    new_key: np.ndarray
-    former_key: np.ndarray
+    ciphertext: int
+    new_key: int
+    former_key: int
 
 
 @dataclass
@@ -423,6 +425,9 @@ class NetworkMetrics:
 
 
 class _Engine:
+    """Heap entries are ``(time, sequence, handler, payload)``; the loop
+    calls ``handler(time, *payload)``."""
+
     def __init__(
         self,
         topology: Topology,
@@ -436,46 +441,35 @@ class _Engine:
     ):
         if duration_s <= 0:
             raise InvalidParameterError("duration_s must be positive")
-        self.topology = topology
         self.traffic = traffic
         self.duration = float(duration_s)
-        self.protocol = protocol
+        self.key_bits = key_bits = protocol.key_bits
         self.record_events = record_events
         self.record_donations = record_donations
 
         root = as_seed_sequence(seed)
         traffic_seed, provision_seed, keys_root = root.spawn(3)
         self.traffic_rng = np.random.default_rng(traffic_seed)
-        self.provision_rng = np.random.default_rng(provision_seed)
+        self.provision_source = _key_source(provision_seed)
 
         self.heap: list = []
-        self.seq = 0
+        self.seq = itertools.count()
         self.log_seq = 0
         self.vehicles: dict[int, Vehicle] = {}
-        self.next_vehicle_id = 0
         self.events: list[ScenarioEvent] = []
         self.donations: list[DonationRecord] = []
         self.skipped_valid_key = 0
-        self.concurrent: dict[str, int] = {}
-        self.rsd_metrics: dict[str, RsdMetrics] = {}
+        self.concurrent = {rsd.id: 0 for rsd in topology.rsds}
+        self.rsd_metrics = {rsd.id: RsdMetrics() for rsd in topology.rsds}
         self.max_concurrent_total = 0
         self.concurrent_total = 0
 
-        self.lane_to_rskp: dict[str, Rskp] = {}
-        self.rsd_of_rskp: dict[str, Rsd] = {}
-        for rsd in topology.rsds:
-            self.rsd_metrics[rsd.id] = RsdMetrics()
-            self.concurrent[rsd.id] = 0
-            for rskp in rsd.rskps:
-                self.lane_to_rskp[rskp.lane] = rskp
-                self.rsd_of_rskp[rskp.id] = rsd
-
         # One pool per owning unit; refills add whole keys.
         self.pools: dict[str, KeyPool] = {}
-        self.key_rngs: dict[str, np.random.Generator] = {}
-        key_bits = protocol.key_bits
+        self.key_sources: dict[str, random.Random] = {}
+        by_rskp = topology.kljn_endpoint == "rskp"
         units: list[tuple[str, str, float]] = []
-        if topology.kljn_endpoint == "rskp":
+        if by_rskp:
             for rsd in topology.rsds:
                 for rskp in rsd.rskps:
                     units.append((rskp.id, rsd.id, topology.secure_rate(rsd, rskp)))
@@ -486,7 +480,7 @@ class _Engine:
         for (unit_id, rsd_id, rate), useed in zip(units, unit_seeds):
             capacity = pool_params.capacity_for(key_bits)
             initial = int(round(pool_params.initial_fill * capacity))
-            self.pools[unit_id] = KeyPool(
+            pool = self.pools[unit_id] = KeyPool(
                 unit_id=unit_id,
                 rsd_id=rsd_id,
                 fill_rate=rate,
@@ -494,239 +488,223 @@ class _Engine:
                 available=initial,
                 generated=initial,
             )
-            self.key_rngs[unit_id] = np.random.default_rng(useed)
-            self._push(key_bits / rate, EventKind.POOL_REFILL, (unit_id,))
+            self.key_sources[unit_id] = _key_source(useed)
+            self._push(key_bits / rate, self._on_pool_refill, (pool,))
+
+        # Each lane's pad, the pool it draws from and its RSD's counters.
+        self.lanes: dict[str, tuple[Rskp, KeyPool, RsdMetrics]] = {
+            rskp.lane: (
+                rskp,
+                self.pools[rskp.id if by_rskp else rskp.rsd_id],
+                self.rsd_metrics[rskp.rsd_id],
+            )
+            for rskp in topology.all_rskps
+        }
 
         # Initial population, then the Poisson streams.
         for lane in topology.lanes:
             for _ in range(traffic.initial_vehicles_per_lane):
-                self._push(0.0, EventKind.VEHICLE_ARRIVAL, (lane, "initial"))
+                self._push(0.0, self._on_arrival, (lane, "initial"))
         for lane in topology.lanes:
             if traffic.arrival_rate_per_lane > 0:
                 gap = self.traffic_rng.exponential(1.0 / traffic.arrival_rate_per_lane)
-                self._push(gap, EventKind.VEHICLE_ARRIVAL, (lane, "poisson"))
+                self._push(gap, self._on_arrival, (lane, "poisson"))
 
     # -- plumbing ---------------------------------------------------------
 
-    def _push(self, time: float, kind: EventKind, payload, force: bool = False) -> None:
-        if time > self.duration and not force:
-            return
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
-        self.seq += 1
+    def _push(self, time: float, handler, payload: tuple, force: bool = False) -> None:
+        if time <= self.duration or force:
+            heapq.heappush(self.heap, (time, next(self.seq), handler, payload))
 
     def _log(self, time, kind, vehicle_id=None, rsd_id=None, lane=None, detail=""):
-        if not self.record_events:
-            return
+        """Append one event row; callers check ``record_events`` first."""
         self.events.append(
             ScenarioEvent(time, self.log_seq, kind, vehicle_id, rsd_id, lane, detail)
         )
         self.log_seq += 1
 
-    def _pool_for(self, rskp: Rskp) -> KeyPool:
-        unit = rskp.id if self.topology.kljn_endpoint == "rskp" else rskp.rsd_id
-        return self.pools[unit]
-
     # -- event handlers ---------------------------------------------------
 
     def _on_arrival(self, t: float, lane: str, source: str) -> None:
+        traffic = self.traffic
         if source == "poisson":
-            gap = self.traffic_rng.exponential(1.0 / self.traffic.arrival_rate_per_lane)
-            self._push(t + gap, EventKind.VEHICLE_ARRIVAL, (lane, "poisson"))
+            gap = self.traffic_rng.exponential(1.0 / traffic.arrival_rate_per_lane)
+            self._push(t + gap, self._on_arrival, (lane, "poisson"))
 
-        lo, hi = self.traffic.speed_range
+        lo, hi = traffic.speed_range
         speed = lo if lo == hi else float(self.traffic_rng.uniform(lo, hi))
         pos = (
-            float(self.traffic_rng.uniform(0.0, self.traffic.circuit_length))
+            float(self.traffic_rng.uniform(0.0, traffic.circuit_length))
             if source == "initial"
             else 0.0
         )
-        vid = self.next_vehicle_id
-        self.next_vehicle_id += 1
+        vid = len(self.vehicles)
         vehicle = Vehicle(id=vid, lane=lane, speed=speed, pos0=pos, t0=t, arrival_time=t)
-        if self.traffic.provision_keys:
-            vehicle.current_key = self.provision_rng.integers(
-                0, 2, self.protocol.key_bits, dtype=np.uint8
-            )
+        if traffic.provision_keys:
+            vehicle.current_key = self.provision_source.getrandbits(self.key_bits)
             vehicle.key_issued_at = t
         self.vehicles[vid] = vehicle
 
-        rskp = self.lane_to_rskp[lane]
+        rskp, _, rm = self.lanes[lane]
         self.concurrent[rskp.rsd_id] += 1
         self.concurrent_total += 1
         self.max_concurrent_total = max(self.max_concurrent_total, self.concurrent_total)
-        rm = self.rsd_metrics[rskp.rsd_id]
         rm.max_load = max(rm.max_load, self.concurrent[rskp.rsd_id])
 
-        if self.traffic.mean_dwell_s is not None:
-            dwell = self.traffic_rng.exponential(self.traffic.mean_dwell_s)
-            self._push(t + dwell, EventKind.DEPARTURE, (vid,))
+        if traffic.mean_dwell_s is not None:
+            dwell = self.traffic_rng.exponential(traffic.mean_dwell_s)
+            self._push(t + dwell, self._on_departure, (vehicle,))
 
-        self._log(t, EventKind.VEHICLE_ARRIVAL, vid, rskp.rsd_id, lane, source)
-        self._schedule_crossing(t, vehicle)
+        if self.record_events:
+            self._log(t, EventKind.VEHICLE_ARRIVAL, vid, rskp.rsd_id, lane, source)
+        circuit = traffic.circuit_length
+        entry = t + (rskp.pad_position - vehicle.position_at(t, circuit)) % circuit / speed
+        self._push(entry + rskp.detector_latency, self._on_key_request, (vehicle, entry))
 
-    def _schedule_crossing(self, now: float, vehicle: Vehicle, after_entry=None) -> None:
-        rskp = self.lane_to_rskp[vehicle.lane]
-        circuit = self.traffic.circuit_length
-        if after_entry is None:
-            gap = (rskp.pad_position - vehicle.position_at(now, circuit)) % circuit
-            entry = now + gap / vehicle.speed
-        else:
-            entry = after_entry + circuit / vehicle.speed
-        request_t = detection_time(entry, rskp.detector_latency)
-        self._push(request_t, EventKind.KEY_REQUEST, (vehicle.id, rskp.id, entry))
-
-    def _fail(self, t: float, vehicle: Vehicle, rskp: Rskp, cause: str) -> None:
-        rm = self.rsd_metrics[rskp.rsd_id]
+    def _fail(self, t: float, vehicle: Vehicle, cause: str) -> None:
+        rskp, _, rm = self.lanes[vehicle.lane]
         if cause == "pool-empty":
             rm.fail_pool_empty += 1
         elif cause == "window-too-short":
             rm.fail_window_too_short += 1
         else:
             rm.fail_no_former_key += 1
-        self._log(
-            t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane, f"fail:{cause}"
-        )
+        if self.record_events:
+            self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
+                      f"fail:{cause}")
 
-    def _on_key_request(self, t: float, vid: int, rskp_id: str, entry: float) -> None:
-        vehicle = self.vehicles[vid]
+    def _on_key_request(self, t: float, vehicle: Vehicle, entry: float) -> None:
         if vehicle.departed_at is not None:
             return
-        rskp = self.lane_to_rskp[vehicle.lane]
-        self._schedule_crossing(t, vehicle, after_entry=entry)
+        rskp, pool, _ = self.lanes[vehicle.lane]
+        speed = vehicle.speed
+        # The next lap's pad entry and its detector report.
+        next_entry = entry + self.traffic.circuit_length / speed
+        self._push(next_entry + rskp.detector_latency, self._on_key_request,
+                   (vehicle, next_entry))
 
-        age = vehicle.key_age(t)
-        if age is not None and age < self.traffic.key_ttl_s:
+        log = self.record_events
+        if (
+            vehicle.current_key is not None
+            and t - vehicle.key_issued_at < self.traffic.key_ttl_s
+        ):
             self.skipped_valid_key += 1
-            self._log(
-                t, EventKind.KEY_REQUEST, vid, rskp.rsd_id, rskp.lane, "skipped-valid-key"
-            )
+            if log:
+                self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
+                          "skipped-valid-key")
             return
 
-        pool = self._pool_for(rskp)
-        key_bits = self.protocol.key_bits
-        exit_t = entry + rskp.pad_length / vehicle.speed
-        latest_start = exit_t - key_bits / rskp.transfer_rate
+        key_bits = self.key_bits
+        latest_start = entry + rskp.pad_length / speed - key_bits / rskp.transfer_rate
         if t > latest_start:
-            self._fail(t, vehicle, rskp, "window-too-short")
-            return
-        if vehicle.current_key is None:
-            self._fail(t, vehicle, rskp, "no-former-key")
-            return
-        if pool.available >= key_bits:
-            self._log(t, EventKind.KEY_REQUEST, vid, rskp.rsd_id, rskp.lane, "granted")
+            self._fail(t, vehicle, "window-too-short")
+        elif vehicle.current_key is None:
+            self._fail(t, vehicle, "no-former-key")
+        elif pool.available >= key_bits:
+            if log:
+                self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
+                          "granted")
             self._start_donation(t, vehicle, rskp, pool)
         else:
             if not pool.pending:
                 pool.depletion_episodes += 1
-            pool.pending.append((vid, rskp.id, latest_start))
-            self._log(t, EventKind.KEY_REQUEST, vid, rskp.rsd_id, rskp.lane, "queued")
+            pool.pending.append((vehicle, latest_start))
+            if log:
+                self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
+                          "queued")
 
     def _start_donation(self, t: float, vehicle: Vehicle, rskp: Rskp, pool: KeyPool) -> None:
-        key_bits = self.protocol.key_bits
+        key_bits = self.key_bits
         pool.available -= key_bits
-        new_key = self.key_rngs[pool.unit_id].integers(0, 2, key_bits, dtype=np.uint8)
-        ciphertext = np.bitwise_xor(new_key, vehicle.current_key)
-        self._log(t, EventKind.DONATION_START, vehicle.id, rskp.rsd_id, rskp.lane)
+        new_key = self.key_sources[pool.unit_id].getrandbits(key_bits)
+        if self.record_events:
+            self._log(t, EventKind.DONATION_START, vehicle.id, rskp.rsd_id, rskp.lane)
         self._push(
             t + key_bits / rskp.transfer_rate,
-            EventKind.DONATION_COMPLETE,
-            (vehicle.id, rskp.id, ciphertext, new_key),
+            self._on_donation_complete,
+            (vehicle, new_key ^ vehicle.current_key, new_key),
             force=True,
         )
 
-    def _on_donation_complete(self, t, vid, rskp_id, ciphertext, new_key) -> None:
-        vehicle = self.vehicles[vid]
-        rskp = self.lane_to_rskp[vehicle.lane]
+    def _on_donation_complete(self, t, vehicle: Vehicle, ciphertext: int, new_key: int) -> None:
+        rskp, _, rm = self.lanes[vehicle.lane]
         former = vehicle.current_key
-        decrypted = np.bitwise_xor(ciphertext, former)
         vehicle.former_key = former
-        vehicle.current_key = decrypted
+        vehicle.current_key = ciphertext ^ former
         interval = t - vehicle.key_issued_at
         vehicle.refresh_sum += interval
         vehicle.refresh_count += 1
         vehicle.refresh_max = max(vehicle.refresh_max, interval)
         vehicle.key_issued_at = t
-        vehicle.donated_bits += self.protocol.key_bits
+        vehicle.donated_bits += self.key_bits
 
-        rm = self.rsd_metrics[rskp.rsd_id]
         rm.donations += 1
-        rm.bits_donated += self.protocol.key_bits
+        rm.bits_donated += self.key_bits
         if self.record_donations:
             self.donations.append(
-                DonationRecord(t, vid, rskp.rsd_id, rskp.id, rskp.lane,
+                DonationRecord(t, vehicle.id, rskp.rsd_id, rskp.id, rskp.lane,
                                ciphertext, new_key, former)
             )
-        if self.traffic.key_ttl_s > 0 and self.record_events:
-            self._push(t + self.traffic.key_ttl_s, EventKind.KEY_EXPIRY, (vid, t))
-        self._log(t, EventKind.DONATION_COMPLETE, vid, rskp.rsd_id, rskp.lane)
+        if self.record_events:
+            if self.traffic.key_ttl_s > 0:
+                self._push(t + self.traffic.key_ttl_s, self._on_key_expiry, (vehicle, t))
+            self._log(t, EventKind.DONATION_COMPLETE, vehicle.id, rskp.rsd_id, rskp.lane)
 
-    def _on_pool_refill(self, t: float, unit_id: str) -> None:
-        pool = self.pools[unit_id]
-        key_bits = self.protocol.key_bits
+    def _on_pool_refill(self, t: float, pool: KeyPool) -> None:
+        key_bits = self.key_bits
         pool.generated += key_bits
         pool.available = min(pool.capacity, pool.available + key_bits)
-        self._log(
-            t, EventKind.POOL_REFILL, None, pool.rsd_id, None, f"available={pool.available}"
-        )
-        while pool.pending:
-            vid, rskp_id, latest_start = pool.pending[0]
-            vehicle = self.vehicles[vid]
-            rskp = self.lane_to_rskp[vehicle.lane]
+        if self.record_events:
+            self._log(t, EventKind.POOL_REFILL, None, pool.rsd_id, None,
+                      f"available={pool.available}")
+        pending = pool.pending
+        while pending:
+            vehicle, latest_start = pending[0]
             if vehicle.departed_at is not None or t > latest_start:
-                pool.pending.popleft()
-                self._fail(t, vehicle, rskp, "pool-empty")
+                pending.popleft()
+                self._fail(t, vehicle, "pool-empty")
             elif pool.available >= key_bits:
-                pool.pending.popleft()
-                self._start_donation(t, vehicle, rskp, pool)
+                pending.popleft()
+                self._start_donation(t, vehicle, self.lanes[vehicle.lane][0], pool)
             else:
                 break
-        self._push(t + key_bits / pool.fill_rate, EventKind.POOL_REFILL, (unit_id,))
+        self._push(t + key_bits / pool.fill_rate, self._on_pool_refill, (pool,))
 
-    def _on_key_expiry(self, t: float, vid: int, issued_at: float) -> None:
-        vehicle = self.vehicles[vid]
+    def _on_key_expiry(self, t: float, vehicle: Vehicle, issued_at: float) -> None:
+        # Scheduled only while the event log is on.
         if vehicle.key_issued_at == issued_at:
-            rskp = self.lane_to_rskp[vehicle.lane]
-            self._log(t, EventKind.KEY_EXPIRY, vid, rskp.rsd_id, vehicle.lane)
+            rskp = self.lanes[vehicle.lane][0]
+            self._log(t, EventKind.KEY_EXPIRY, vehicle.id, rskp.rsd_id, vehicle.lane)
 
-    def _on_departure(self, t: float, vid: int) -> None:
-        vehicle = self.vehicles[vid]
+    def _on_departure(self, t: float, vehicle: Vehicle) -> None:
         if vehicle.departed_at is not None:
             return
         vehicle.departed_at = t
-        rskp = self.lane_to_rskp[vehicle.lane]
-        self.concurrent[rskp.rsd_id] -= 1
+        rsd_id = self.lanes[vehicle.lane][0].rsd_id
+        self.concurrent[rsd_id] -= 1
         self.concurrent_total -= 1
-        self._log(t, EventKind.DEPARTURE, vid, rskp.rsd_id, vehicle.lane)
+        if self.record_events:
+            self._log(t, EventKind.DEPARTURE, vehicle.id, rsd_id, vehicle.lane)
 
     # -- main loop --------------------------------------------------------
 
     def run(self) -> NetworkMetrics:
-        dispatch = {
-            EventKind.VEHICLE_ARRIVAL: self._on_arrival,
-            EventKind.KEY_REQUEST: self._on_key_request,
-            EventKind.POOL_REFILL: self._on_pool_refill,
-            EventKind.DONATION_COMPLETE: self._on_donation_complete,
-            EventKind.KEY_EXPIRY: self._on_key_expiry,
-            EventKind.DEPARTURE: self._on_departure,
-        }
-        while self.heap and self.heap[0][0] <= self.duration:
-            time, _, kind, payload = heapq.heappop(self.heap)
-            dispatch[kind](time, *payload)
-        # Transfers already in flight at the horizon were causally committed:
-        # let them land so the pool bookkeeping stays conserved.
-        while self.heap:
-            time, _, kind, payload = heapq.heappop(self.heap)
-            if kind is EventKind.DONATION_COMPLETE:
-                self._on_donation_complete(time, *payload)
+        # Every event past the horizon is dropped at push time except
+        # transfers already in flight: those were causally committed, so
+        # they land after the horizon and the pool bookkeeping stays
+        # conserved.
+        heap, pop = self.heap, heapq.heappop
+        while heap:
+            time, _, handler, payload = pop(heap)
+            handler(time, *payload)
         for pool in self.pools.values():
             while pool.pending:
-                vid, rskp_id, _ = pool.pending.popleft()
-                vehicle = self.vehicles[vid]
-                self._fail(self.duration, vehicle, self.lane_to_rskp[vehicle.lane],
-                           "pool-empty")
+                vehicle, _ = pool.pending.popleft()
+                self._fail(self.duration, vehicle, "pool-empty")
         return self._metrics()
 
     def _metrics(self) -> NetworkMetrics:
+        """Aggregate the run; a pure function of the engine state."""
         rates = []
         refresh_sum = refresh_count = 0
         refresh_max = 0.0
@@ -738,12 +716,13 @@ class _Engine:
             refresh_sum += v.refresh_sum
             refresh_count += v.refresh_count
             refresh_max = max(refresh_max, v.refresh_max)
+        per_rsd = {rsd_id: replace(m) for rsd_id, m in self.rsd_metrics.items()}
         for pool in self.pools.values():
-            rm = self.rsd_metrics[pool.rsd_id]
+            rm = per_rsd[pool.rsd_id]
             rm.depletion_episodes += pool.depletion_episodes
             rm.pool_available_end += pool.available
             rm.pool_generated += pool.generated
-        total = lambda attr: sum(getattr(m, attr) for m in self.rsd_metrics.values())
+        total = lambda attr: sum(getattr(m, attr) for m in per_rsd.values())
         return NetworkMetrics(
             duration_s=self.duration,
             vehicles_created=len(self.vehicles),
@@ -757,7 +736,7 @@ class _Engine:
             mean_vehicle_rate_bps=float(np.mean(rates)) if rates else 0.0,
             mean_refresh_interval_s=refresh_sum / refresh_count if refresh_count else 0.0,
             max_refresh_interval_s=refresh_max,
-            per_rsd=self.rsd_metrics,
+            per_rsd=per_rsd,
             events=self.events if self.record_events else None,
             donations=self.donations if self.record_donations else None,
         )

@@ -1,5 +1,6 @@
 """Discrete-event vehicular network: topology, donation flow, metrics."""
 
+import copy
 import hashlib
 import json
 
@@ -163,9 +164,30 @@ class TestRunScenario:
         metrics = Scenario.from_dict(small_scenario()).run(record_donations=True)
         assert metrics.donations
         for d in metrics.donations:
-            assert np.array_equal(
-                np.bitwise_xor(d.ciphertext, d.former_key), d.new_key
-            )
+            assert d.ciphertext ^ d.former_key == d.new_key
+
+    def test_keys_fill_key_bits(self):
+        spec = small_scenario()
+        spec["protocol"]["key_bits"] = 70
+        metrics = Scenario.from_dict(spec).run(record_donations=True)
+        keys = [d.new_key for d in metrics.donations]
+        assert all(0 <= k < 2**70 for k in keys)
+        # 70 bits exceed one 64-bit word; a generator that yields too few
+        # bits never sets the top one.
+        assert any(k >> 69 for k in keys)
+
+    def test_metrics_pure(self):
+        from kljnsim.vanet import _Engine
+
+        s = Scenario.from_dict(small_scenario())
+        engine = _Engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol,
+                         s.pool, record_events=False, record_donations=False)
+        first = copy.deepcopy(engine.run())
+        assert first.per_rsd["rsd-1"].pool_generated > 0
+        # Neither a second aggregation nor an edit of a returned value may
+        # change what the next call reports.
+        engine._metrics().per_rsd["rsd-1"].donations += 1
+        assert engine._metrics() == first
 
     def test_no_former_key_without_provisioning(self):
         spec = small_scenario()
