@@ -455,7 +455,7 @@ class _Engine:
         self.heap: list = []
         self.seq = itertools.count()
         self.log_seq = 0
-        self.vehicles: dict[int, Vehicle] = {}
+        self.vehicles: list[Vehicle] = []
         self.events: list[ScenarioEvent] = []
         self.donations: list[DonationRecord] = []
         self.skipped_valid_key = 0
@@ -543,7 +543,7 @@ class _Engine:
         if traffic.provision_keys:
             vehicle.current_key = self.provision_source.getrandbits(self.key_bits)
             vehicle.key_issued_at = t
-        self.vehicles[vid] = vehicle
+        self.vehicles.append(vehicle)
 
         rskp, _, rm = self.lanes[lane]
         self.concurrent[rskp.rsd_id] += 1
@@ -626,7 +626,9 @@ class _Engine:
             force=True,
         )
 
-    def _on_donation_complete(self, t, vehicle: Vehicle, ciphertext: int, new_key: int) -> None:
+    def _on_donation_complete(
+        self, t: float, vehicle: Vehicle, ciphertext: int, new_key: int
+    ) -> None:
         rskp, _, rm = self.lanes[vehicle.lane]
         former = vehicle.current_key
         vehicle.former_key = former
@@ -708,7 +710,7 @@ class _Engine:
         rates = []
         refresh_sum = refresh_count = 0
         refresh_max = 0.0
-        for v in self.vehicles.values():
+        for v in self.vehicles:
             leave = v.departed_at if v.departed_at is not None else self.duration
             presence = leave - v.arrival_time
             if presence > 0:
