@@ -27,11 +27,12 @@ import numpy as np
 from .adversary import injection_sweep, passive_sweep
 from .errors import ConfigError, InvalidParameterError
 from .lifetime import LifetimeParams, key_lifetime
-from .physics import KljnLineConfig, as_seed_sequence
+from .physics import LINE_FIELDS, KljnLineConfig, as_seed_sequence
 from .protocol import ExchangeConfig, Party, estimate_ber, run_key_exchange
-from .vanet import Scenario, make_homogeneous_scenario
+from .vanet import EventKind, Scenario, make_homogeneous_scenario
 
 DEFAULT_SEED = 12345
+_KIND_NAMES = {kind: kind.value for kind in EventKind}
 
 
 def _fmt(value) -> str:
@@ -45,10 +46,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _line(*cells) -> str:
+    """One CSV line, each cell through ``_fmt``."""
+    return ",".join(map(_fmt, cells)) + "\n"
+
+
+def _write_csv(path: Path, header, lines) -> None:
+    """Write the header, then stream the already formatted ``lines``."""
+    with path.open("w", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(lines)
 
 
 def _load_config(path: str | None) -> dict:
@@ -77,8 +84,7 @@ def _line_from(config: dict) -> KljnLineConfig:
     raw = config.get("line", {})
     if not isinstance(raw, dict):
         raise ConfigError("field 'line' must be an object")
-    known = {"r_low", "r_high", "t_eff", "line_length", "wave_speed", "theta"}
-    _reject_unknown(raw, known, "field 'line'")
+    _reject_unknown(raw, LINE_FIELDS, "field 'line'")
     try:
         return KljnLineConfig(**raw)
     except (TypeError, InvalidParameterError) as exc:
@@ -118,7 +124,7 @@ def cmd_exchange(config: dict, seed, outdir: Path, suffix: str) -> None:
     _write_csv(
         outdir / f"keys{suffix}.csv",
         ["party", "length", "key_hex"],
-        [["alice", alice.length, alice.hex()], ["bob", bob.length, bob.hex()]],
+        [_line("alice", alice.length, alice.hex()), _line("bob", bob.length, bob.hex())],
     )
     counts = {p.value: c for p, c in stats.pair_counts.items()}
     _write_csv(
@@ -128,11 +134,11 @@ def cmd_exchange(config: dict, seed, outdir: Path, suffix: str) -> None:
             "kept_bits", "misclassified_periods", "alarms", "elapsed_s",
             "keys_match",
         ],
-        [[
+        [_line(
             stats.periods, counts["LL"], counts["LH"], counts["HL"], counts["HH"],
             stats.kept_bits, stats.misclassified, stats.alarms, stats.elapsed_s,
             alice == bob,
-        ]],
+        )],
     )
 
 
@@ -165,12 +171,12 @@ def cmd_lifetime(config: dict, seed, outdir: Path, suffix: str) -> None:
             "secure_bit_rate_bps", "per_car_rate_bps", "key_lifetime_s",
             "no_wave_warning", "gamma_warning",
         ],
-        [[
+        [_line(
             params.theta, params.wave_speed, params.line_length, params.gamma,
             params.key_length, report.car_density, params.parallel_channels,
             report.noise_bandwidth, report.secure_bit_rate, report.per_car_rate,
             report.key_lifetime, report.no_wave_warning, report.gamma_warning,
-        ]],
+        )],
     )
 
 
@@ -191,14 +197,14 @@ def cmd_simulate(config: dict, seed, outdir: Path, suffix: str) -> None:
             "mean_vehicle_rate_bps", "mean_refresh_interval_s",
             "max_refresh_interval_s",
         ],
-        [[
+        [_line(
             metrics.duration_s, metrics.vehicles_created,
             metrics.max_concurrent_vehicles, metrics.donation_success,
             metrics.fail_pool_empty, metrics.fail_window_too_short,
             metrics.fail_no_former_key, metrics.skipped_valid_key,
             metrics.bits_donated, metrics.mean_vehicle_rate_bps,
             metrics.mean_refresh_interval_s, metrics.max_refresh_interval_s,
-        ]],
+        )],
     )
     _write_csv(
         outdir / f"rsd_metrics{suffix}.csv",
@@ -208,23 +214,25 @@ def cmd_simulate(config: dict, seed, outdir: Path, suffix: str) -> None:
             "max_load", "pool_available_end", "pool_generated",
         ],
         [
-            [
+            _line(
                 rsd_id, m.donations, m.bits_donated, m.fail_pool_empty,
                 m.fail_window_too_short, m.fail_no_former_key,
                 m.depletion_episodes, m.max_load, m.pool_available_end,
                 m.pool_generated,
-            ]
+            )
             for rsd_id, m in sorted(metrics.per_rsd.items())
         ],
     )
     if metrics.events is not None:
+        # The one large file: one f-string per row, equal to ``_line`` cell by cell.
         _write_csv(
             outdir / f"events{suffix}.csv",
             ["time_s", "sequence", "kind", "vehicle_id", "rsd_id", "lane", "detail"],
-            [
-                [e.time, e.sequence, e.kind.value, e.vehicle_id, e.rsd_id, e.lane, e.detail]
-                for e in metrics.events
-            ],
+            (
+                f"{time:.12g},{seq},{_KIND_NAMES[kind]},{'' if vid is None else vid},"
+                f"{'' if rsd is None else rsd},{'' if lane is None else lane},{detail}\n"
+                for time, seq, kind, vid, rsd, lane, detail in metrics.events
+            ),
         )
 
 
@@ -270,14 +278,14 @@ def cmd_attack(config: dict, seed, outdir: Path, suffix: str) -> None:
         outdir / f"passive_accuracy{suffix}.csv",
         ["strategy", "periods", "correct", "accuracy"],
         [
-            [s.value, passive.periods, passive.correct[s], passive.accuracy[s]]
+            _line(s.value, passive.periods, passive.correct[s], passive.accuracy[s])
             for s in passive.accuracy
         ],
     )
     _write_csv(
         outdir / f"alarm_sweep{suffix}.csv",
         ["relative_amplitude", "periods", "alarms", "alarm_rate"],
-        [[p.relative_amplitude, p.periods, p.alarms, p.alarm_rate] for p in points],
+        [_line(p.relative_amplitude, p.periods, p.alarms, p.alarm_rate) for p in points],
     )
 
 
@@ -305,7 +313,7 @@ def cmd_ber(config: dict, seed, outdir: Path, suffix: str) -> None:
     _write_csv(
         outdir / f"ber{suffix}.csv",
         ["gamma", "runs", "errors", "ber"],
-        [[row.gamma, row.runs, row.errors, row.ber] for row in table],
+        [_line(row.gamma, row.runs, row.errors, row.ber) for row in table],
     )
 
 

@@ -21,12 +21,13 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, TopologyError
 from .lifetime import secure_bit_rate
-from .physics import KljnLineConfig, as_seed_sequence
+from .physics import LINE_FIELDS, KljnLineConfig, as_seed_sequence
 
 
 class EventKind(str, Enum):
@@ -39,8 +40,7 @@ class EventKind(str, Enum):
     DEPARTURE = "departure"
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     """One row of the simulation event log."""
 
     time: float
@@ -84,12 +84,6 @@ class Topology:
     kljn_endpoint: str = "rsd"
     gamma: float = 100.0
 
-    def rsd_by_id(self, rsd_id: str) -> Rsd:
-        for rsd in self.rsds:
-            if rsd.id == rsd_id:
-                return rsd
-        raise TopologyError(f"unknown RSD id {rsd_id!r}")
-
     @property
     def all_rskps(self) -> tuple[Rskp, ...]:
         return tuple(r for rsd in self.rsds for r in rsd.rskps)
@@ -112,13 +106,17 @@ class Topology:
         )
 
 
-def _parse_line(d: dict, where: str) -> KljnLineConfig:
+def _check_fields(d, known, where: str) -> None:
+    """Reject a non-object or a key outside ``known``, naming its path."""
     if not isinstance(d, dict):
-        raise TopologyError(f"{where}: line config must be an object")
-    known = {"r_low", "r_high", "t_eff", "line_length", "wave_speed", "theta"}
+        raise TopologyError(f"{where} must be an object")
     unknown = set(d) - known
     if unknown:
-        raise TopologyError(f"{where}: unknown line field(s) {sorted(unknown)}")
+        raise TopologyError(f"{where}: unknown field(s) {sorted(unknown)}")
+
+
+def _parse_line(d, where: str) -> KljnLineConfig:
+    _check_fields(d, LINE_FIELDS, where)
     return KljnLineConfig(**d)
 
 
@@ -132,8 +130,7 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
          "rskps": [{"id", "rsd", "lane", "pad_length_m", "transfer_rate_bps",
                     "detector_latency_s", "pad_position_m", "line": {...}}]}
     """
-    if not isinstance(spec, dict):
-        raise TopologyError("topology must be an object")
+    _check_fields(spec, {"kljn_endpoint", "rsds", "rskps"}, "topology")
     endpoint = spec.get("kljn_endpoint", "rsd")
     if endpoint not in ("rsd", "rskp"):
         raise TopologyError("kljn_endpoint must be 'rsd' or 'rskp'")
@@ -143,20 +140,29 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
     if not rsd_specs:
         raise TopologyError("topology needs at least one RSD")
 
-    rskps_by_rsd: dict[str, list[Rskp]] = {}
-    seen_rsd_ids = set()
-    for rd in rsd_specs:
+    rsds_by_id: dict[str, Rsd] = {}
+    for i, rd in enumerate(rsd_specs):
+        where = f"topology.rsds[{i}]"
+        _check_fields(rd, {"id", "line", "parallel_channels"}, where)
         rsd_id = rd.get("id")
         if not rsd_id:
             raise TopologyError("every RSD needs an 'id'")
-        if rsd_id in seen_rsd_ids:
+        if rsd_id in rsds_by_id:
             raise TopologyError(f"duplicate RSD id {rsd_id!r}")
-        seen_rsd_ids.add(rsd_id)
-        rskps_by_rsd[rsd_id] = []
+        if rd.get("line") is None:
+            raise TopologyError(f"RSD {rsd_id!r}: missing line config")
+        channels = int(rd.get("parallel_channels", 1))
+        if channels < 1:
+            raise TopologyError(f"RSD {rsd_id!r}: parallel_channels must be >= 1")
+        rsds_by_id[rsd_id] = Rsd(rsd_id, _parse_line(rd["line"], f"{where}.line"), channels)
 
+    rskps_by_rsd: dict[str, list[Rskp]] = {rsd_id: [] for rsd_id in rsds_by_id}
     seen_rskp_ids = set()
     seen_lanes = set()
-    for kd in rskp_specs:
+    for i, kd in enumerate(rskp_specs):
+        where = f"topology.rskps[{i}]"
+        _check_fields(kd, {"id", "rsd", "lane", "pad_length_m", "transfer_rate_bps",
+                           "detector_latency_s", "pad_position_m", "line"}, where)
         rskp_id = kd.get("id")
         if not rskp_id:
             raise TopologyError("every RSKP needs an 'id'")
@@ -195,29 +201,12 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
                 transfer_rate=rate,
                 detector_latency=latency,
                 pad_position=float(kd.get("pad_position_m", 0.0)),
-                line=None if line is None else _parse_line(line, f"rskp {rskp_id!r}"),
+                line=None if line is None else _parse_line(line, f"{where}.line"),
             )
         )
 
-    rsds = []
-    for rd in rsd_specs:
-        rsd_id = rd["id"]
-        line = rd.get("line")
-        if line is None:
-            raise TopologyError(f"RSD {rsd_id!r}: missing line config")
-        channels = int(rd.get("parallel_channels", 1))
-        if channels < 1:
-            raise TopologyError(f"RSD {rsd_id!r}: parallel_channels must be >= 1")
-        rsds.append(
-            Rsd(
-                id=rsd_id,
-                line=_parse_line(line, f"rsd {rsd_id!r}"),
-                parallel_channels=channels,
-                rskps=tuple(rskps_by_rsd[rsd_id]),
-            )
-        )
-
-    return Topology(rsds=tuple(rsds), kljn_endpoint=endpoint, gamma=float(gamma))
+    rsds = tuple(replace(rsd, rskps=tuple(rskps_by_rsd[rsd.id])) for rsd in rsds_by_id.values())
+    return Topology(rsds=rsds, kljn_endpoint=endpoint, gamma=float(gamma))
 
 
 @dataclass(frozen=True)
@@ -454,7 +443,6 @@ class _Engine:
 
         self.heap: list = []
         self.seq = itertools.count()
-        self.log_seq = 0
         self.vehicles: list[Vehicle] = []
         self.events: list[ScenarioEvent] = []
         self.donations: list[DonationRecord] = []
@@ -516,12 +504,10 @@ class _Engine:
         if time <= self.duration or force:
             heapq.heappush(self.heap, (time, next(self.seq), handler, payload))
 
-    def _log(self, time, kind, vehicle_id=None, rsd_id=None, lane=None, detail=""):
+    def _log(self, time, kind, vehicle_id, rsd_id, lane, detail=""):
         """Append one event row; callers check ``record_events`` first."""
-        self.events.append(
-            ScenarioEvent(time, self.log_seq, kind, vehicle_id, rsd_id, lane, detail)
-        )
-        self.log_seq += 1
+        events = self.events
+        events.append(ScenarioEvent(time, len(events), kind, vehicle_id, rsd_id, lane, detail))
 
     # -- event handlers ---------------------------------------------------
 

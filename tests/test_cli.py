@@ -131,6 +131,16 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "topology" in capsys.readouterr().err
 
+    def test_misspelt_topology_field_exits_2(self, tmp_path, capsys):
+        from kljnsim import make_homogeneous_scenario
+
+        spec = make_homogeneous_scenario(vehicle_count=4, duration_s=100.0)
+        spec["topology"]["rskps"][0]["pad_lenght_m"] = 5.0
+        cfg = write_json(tmp_path / "s.json", spec)
+        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 2
+        assert "topology.rskps[0]: unknown field(s) ['pad_lenght_m']" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
 
 class TestAttackCommand:
     def test_accuracies_near_half_and_alarm_boundary(self, tmp_path):

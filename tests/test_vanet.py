@@ -20,7 +20,7 @@ from kljnsim import (
     donation_window,
     make_homogeneous_scenario,
 )
-from kljnsim.cli import main as cli_main
+from kljnsim.cli import _fmt, main as cli_main
 from kljnsim.vanet import EventKind
 
 
@@ -77,6 +77,29 @@ class TestBuildTopology:
         spec = one_rsd_spec()
         spec["rsds"].append({"id": "rsd-1", "line": {}})
         with pytest.raises(TopologyError, match="duplicate"):
+            build_topology(spec)
+
+    @pytest.mark.parametrize("path, key", [
+        ("rskps[2]", "pad_lenght_m"),  # misspelt pad_length_m
+        ("rsds[1]", "high_speed_link"),  # a removed RSD field
+        ("rskps[3].line", "thetta"),
+    ])
+    def test_unknown_field_named_by_path(self, path, key):
+        spec = churn_spec("rskp")["topology"]
+        entry = {
+            "rskps[2]": spec["rskps"][2],
+            "rsds[1]": spec["rsds"][1],
+            "rskps[3].line": spec["rskps"][3]["line"],
+        }[path]
+        entry[key] = 1.0
+        with pytest.raises(TopologyError) as info:
+            build_topology(spec)
+        assert str(info.value) == f"topology.{path}: unknown field(s) [{key!r}]"
+
+    def test_unknown_topology_key_named(self):
+        spec = one_rsd_spec()
+        spec["gamma"] = 100.0
+        with pytest.raises(TopologyError, match=r"^topology: unknown field\(s\) \['gamma'\]$"):
             build_topology(spec)
 
 
@@ -391,3 +414,27 @@ def test_simulate_outputs_pinned(name, tmp_path):
         for path in (out / f for f in ("metrics.csv", "rsd_metrics.csv", "events.csv"))
     )
     assert got == digests
+
+
+@pytest.mark.parametrize("endpoint", ["rsd", "rskp"])
+def test_events_csv_matches_cell_oracle(endpoint, tmp_path):
+    """The CLI writes each event row as one f-string; the oracle is the
+    per-cell ``_fmt`` path it replaced, applied to the library's log."""
+    spec = churn_spec(endpoint)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(config), "--seed", "7",
+                     "--out", str(out)]) == 0
+    # A single CLI run uses the seed stream (seed, run index 0).
+    events = Scenario.from_dict(spec).run(seed=np.random.SeedSequence([7, 0])).events
+    assert [e.sequence for e in events] == list(range(len(events)))
+    assert all(isinstance(e.kind, EventKind) for e in events)
+    assert any(e.vehicle_id is None and e.lane is None for e in events
+               if e.kind is EventKind.POOL_REFILL)
+    rows = ["time_s,sequence,kind,vehicle_id,rsd_id,lane,detail"] + [
+        ",".join(_fmt(cell) for cell in (e.time, e.sequence, e.kind.value,
+                                         e.vehicle_id, e.rsd_id, e.lane, e.detail))
+        for e in events
+    ]
+    assert (out / "events.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
