@@ -15,10 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-
-#: Policy cutoffs for advisory warnings (the physics only demands << / >>).
-THETA_WARN = 0.2
-GAMMA_WARN = 10.0
+from .physics import LOW_GAMMA_LIMIT, NO_WAVE_THETA_LIMIT
 
 _REL_TOL = 1e-9
 
@@ -160,8 +157,8 @@ def key_lifetime(params: LifetimeParams) -> LifetimeReport:
         car_density=params.car_density,
         per_car_rate=f_car,
         key_lifetime=params.key_length / f_car,
-        no_wave_warning=params.theta >= THETA_WARN,
-        gamma_warning=params.gamma < GAMMA_WARN,
+        no_wave_warning=params.theta >= NO_WAVE_THETA_LIMIT,
+        gamma_warning=params.gamma < LOW_GAMMA_LIMIT,
     )
 
 

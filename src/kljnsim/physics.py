@@ -25,6 +25,10 @@ BOLTZMANN = 1.380649e-23
 #: becomes questionable; configs are accepted but flagged.
 NO_WAVE_THETA_LIMIT = 0.2
 
+#: Below this averaging ratio periods misclassify often; configs are accepted
+#: but flagged. Both limits are policy: physics only asks theta << 1 << gamma.
+LOW_GAMMA_LIMIT = 10.0
+
 #: Default sampling density relative to the noise bandwidth.
 DEFAULT_OVERSAMPLE = 10.0
 
@@ -197,6 +201,20 @@ def johnson_rms(resistance: float, t_eff: float, bandwidth: float) -> float:
     return math.sqrt(4.0 * BOLTZMANN * t_eff * resistance * bandwidth)
 
 
+def in_band_bins(bandwidth: float, sample_rate: float, duration: float) -> tuple[int, int]:
+    """Sample count ``n`` of a trace and the count ``m`` of its in-band
+    Fourier bins 1..m. DC is excluded (exactly zero mean), and so is the
+    Nyquist bin (keeps the two-degrees-of-freedom bookkeeping uniform)."""
+    n = int(round(sample_rate * duration))
+    k = np.arange(1, (n - 1) // 2 + 1)
+    m = int(np.count_nonzero(k * (sample_rate / n) <= bandwidth * (1.0 + 1e-12)))
+    if m == 0:
+        raise InvalidParameterError(
+            "sample grid too coarse: no Fourier bin falls inside the band"
+        )
+    return n, m
+
+
 def sample_bandlimited_gaussian(
     rms: float,
     bandwidth: float,
@@ -230,18 +248,7 @@ def sample_bandlimited_gaussian(
             "duration * bandwidth must be at least 1 (need one full correlation time)"
         )
 
-    n = int(round(sample_rate * duration))
-    k = np.arange(n // 2 + 1)
-    freqs = k * (sample_rate / n)
-    # Exclude DC (exactly zero mean) and the Nyquist bin (keeps the
-    # two-degrees-of-freedom bookkeeping uniform across bins).
-    in_band = (k >= 1) & (k <= (n - 1) // 2) & (freqs <= bandwidth * (1.0 + 1e-12))
-    m = int(np.count_nonzero(in_band))
-    if m == 0:
-        raise InvalidParameterError(
-            "sample grid too coarse: no Fourier bin falls inside the band"
-        )
-
+    n, m = in_band_bins(bandwidth, sample_rate, duration)
     if rms == 0.0:
         return NoiseTrace(np.zeros(n), sample_rate, duration)
 
@@ -249,7 +256,7 @@ def sample_bandlimited_gaussian(
     # E<x^2> = 4 m s^2 / n^2 for irfft of m bins with per-component std s.
     s = rms * n / (2.0 * math.sqrt(m))
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[in_band] = s * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    spectrum[1:m + 1] = s * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
     samples = np.fft.irfft(spectrum, n)
     return NoiseTrace(samples, sample_rate, duration)
 

@@ -25,9 +25,12 @@ from .physics import (
     LoopSignals,
     PairClass,
     DEFAULT_OVERSAMPLE,
+    LOW_GAMMA_LIMIT,
     as_seed_sequence,
     assert_same_grid,
+    in_band_bins,
     johnson_rms,
+    pair_resistances,
     sample_bandlimited_gaussian,
     solve_loop,
     theoretical_msv,
@@ -174,7 +177,7 @@ class ExchangeConfig:
     def flags(self) -> tuple[str, ...]:
         """Advisory flags; 'low-gamma' below the comfortable averaging regime."""
         out = list(self.line.flags)
-        if self.gamma < 10:
+        if self.gamma < LOW_GAMMA_LIMIT:
             out.append("low-gamma")
         return tuple(out)
 
@@ -217,16 +220,6 @@ class KeyMaterial:
             raise InvalidParameterError(
                 "key bits must correspond one-to-one with SECURE-flagged periods"
             )
-
-    @classmethod
-    def from_bits(cls, bits) -> "KeyMaterial":
-        """Wrap a plain bit array (all bits secure), e.g. a donated key."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        return cls(
-            bits=arr,
-            flags=np.full(len(arr), BitFlag.SECURE, dtype=np.int8),
-            secure_periods=np.arange(len(arr)),
-        )
 
     @property
     def length(self) -> int:
@@ -288,14 +281,10 @@ def classify_level(msv_u: float, thresholds: tuple[float, float]) -> Level:
 def _classify_from_current(msv_i: float, thresholds: tuple[float, float]) -> Level:
     # Same closed-below convention, applied on the current axis where the
     # band order is reversed (HH has the lowest mean-square current).
-    if msv_i < 0:
-        raise InvalidParameterError("mean-square value must be non-negative")
-    lower, upper = thresholds
-    if msv_i <= lower:
-        return Level.HIGH
-    if msv_i <= upper:
-        return Level.MID
-    return Level.LOW
+    return _FLIPPED[classify_level(msv_i, thresholds)]
+
+
+_FLIPPED = {Level.LOW: Level.HIGH, Level.MID: Level.MID, Level.HIGH: Level.LOW}
 
 
 def classify_period(config: ExchangeConfig, msv_u: float, msv_i: float) -> Level:
@@ -311,21 +300,13 @@ def classify_period(config: ExchangeConfig, msv_u: float, msv_i: float) -> Level
         return _classify_from_current(msv_i, config.current_thresholds)
     by_u = classify_level(msv_u, config.voltage_thresholds)
     by_i = _classify_from_current(msv_i, config.current_thresholds)
-    if by_u is by_i:
-        return by_u
-    if by_u is Level.MID:
-        return by_i
-    if by_i is Level.MID:
-        return by_u
-    return by_u
+    return by_i if by_u is Level.MID else by_u
 
 
 def period_resistances(
     line: KljnLineConfig, choices: tuple[Resistor, Resistor]
 ) -> tuple[float, float]:
-    alice, bob = choices
-    lookup = {Resistor.L: line.r_low, Resistor.H: line.r_high}
-    return lookup[alice], lookup[bob]
+    return pair_resistances(line, pair_of(*choices))
 
 
 def synthesize_period(
@@ -356,20 +337,17 @@ def measure_period(
     config: ExchangeConfig,
     choices: tuple[Resistor, Resistor],
     signals: LoopSignals,
-    alarm: bool = False,
 ) -> BitPeriodRecord:
     """Time-average the loop signals, classify, and derive the bits."""
-    alice, bob = choices
     msv_u = signals.channel_voltage.mean_square()
     msv_i = signals.channel_current.mean_square()
-    classified = classify_period(config, msv_u, msv_i)
+    return _record(config, choices, msv_u, msv_i, classify_period(config, msv_u, msv_i))
+
+
+def _record(config, choices, msv_u: float, msv_i: float, classified: Level) -> BitPeriodRecord:
+    alice, bob = choices
     kept = classified is Level.MID
-    alice_bit = bob_bit = None
-    if kept:
-        if config.inverting_party is Party.BOB:
-            alice_bit, bob_bit = alice.bit, 1 - bob.bit
-        else:
-            alice_bit, bob_bit = 1 - alice.bit, bob.bit
+    alice_bit, bob_bit = _party_bits(config, alice.bit, bob.bit) if kept else (None, None)
     return BitPeriodRecord(
         alice_choice=alice,
         bob_choice=bob,
@@ -379,17 +357,18 @@ def measure_period(
         kept=kept,
         alice_bit=alice_bit,
         bob_bit=bob_bit,
-        alarm=alarm,
+        alarm=False,
     )
 
 
 def run_bit_period(
     config: ExchangeConfig, choices: tuple[Resistor, Resistor], seed
 ) -> BitPeriodRecord:
-    """Run one full bit-sharing period: synthesize, monitor, classify."""
-    signals = synthesize_period(config, choices, seed)
-    alarm = monitor_endpoints(signals, signals, config.alarm_tolerance)
-    return measure_period(config, choices, signals, alarm=alarm)
+    """Run one full bit-sharing period on waveforms: synthesize, classify.
+
+    Both ends see the same ideal line, so the period never alarms.
+    """
+    return measure_period(config, choices, synthesize_period(config, choices, seed))
 
 
 def monitor_endpoints(
@@ -408,8 +387,6 @@ def monitor_endpoints(
         (alice_view.channel_voltage, bob_view.channel_voltage),
         (alice_view.channel_current, bob_view.channel_current),
     ):
-        if mine.samples is theirs.samples:
-            continue
         worst = float(np.max(np.abs(mine.samples - theirs.samples)))
         if worst == 0.0:
             continue
@@ -419,24 +396,175 @@ def monitor_endpoints(
     return False
 
 
-def _blank_stats(config: ExchangeConfig) -> ExchangeStats:
+# -- Batched engine ------------------------------------------------------------
+
+#: Periods whose seeds are hashed at once, and periods whose normals are
+#: held at once (the working set stays near 200 KB).
+_BATCH, _CHUNK = 1024, 64
+
+# Hash constants of numpy's SeedSequence and the multiplier of PCG64.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+_LEVELS = (Level.LOW, Level.MID, Level.HIGH)
+_MID = 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix with its running constant, on Python ints or
+    uint32 arrays."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return result ^ result >> 16
+
+
+def _words(value) -> list[int]:
+    """An int, or a nested sequence of ints, as SeedSequence's uint32 words
+    (each int little-endian, at least one word)."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        return [value >> shift & _M32 for shift in range(0, max(value.bit_length(), 1), 32)]
+    return [word for item in value for word in _words(item)]
+
+
+def _child_states(root: np.random.SeedSequence, tails) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of many children of ``root``, as rows.
+
+    Row r belongs to ``SeedSequence(root.entropy, spawn_key=root.spawn_key +
+    tuple(t[r] for t in tails), pool_size=root.pool_size)``, where each tail
+    is a uint32 array. This is numpy's mixing: the root's words are mixed
+    as Python ints, then the tails as arrays.
+    """
+    size = root.pool_size
+    # A child's spawn key is never empty, so its run entropy is zero-padded
+    # to the pool size.
+    run = _words(root.entropy)
+    words = run + [0] * (size - len(run)) + _words(root.spawn_key) + list(tails)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:size]]
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[size:]:
+        for dst in range(size):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % size]) for i in range(8)], axis=-1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _pcg64_state(words) -> dict:
+    """The state of ``np.random.PCG64`` seeded with these four
+    ``generate_state`` words (Python ints): PCG's set-sequence seeding."""
+    s0, s1, i0, i1 = words
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _classify(config: ExchangeConfig, msv_u: np.ndarray, msv_i: np.ndarray) -> np.ndarray:
+    """``classify_period`` on arrays, as indices into ``_LEVELS``."""
+    v1, v2 = config.voltage_thresholds
+    c1, c2 = config.current_thresholds
+    by_u = (msv_u > v1).astype(np.int8) + (msv_u > v2)
+    by_i = 2 - (msv_i > c1).astype(np.int8) - (msv_i > c2)
+    if config.classify_on == "voltage":
+        return by_u
+    if config.classify_on == "current":
+        return by_i
+    return np.where(by_u == _MID, by_i, by_u)
+
+
+def _party_bits(config: ExchangeConfig, alice, bob):
+    """Both parties' key bits from their resistor bits (ints or arrays)."""
+    if config.inverting_party is Party.BOB:
+        return alice, 1 - bob
+    return 1 - alice, bob
+
+
+class _Periods:
+    """The bit periods of one run, in order, on the waveform path's streams.
+
+    The choices come from one generator, and trace c (0 = Alice, 1 = Bob) of
+    period j from child (j, c) of the run's noise root. The two levels follow
+    from the m in-band Fourier bins (Parseval), so no sample array is built;
+    they agree with ``run_bit_period`` to rounding.
+    """
+
+    def __init__(self, config: ExchangeConfig, seed):
+        choice_seed, self.noise_root = as_seed_sequence(seed).spawn(2)
+        self.choice_rng = np.random.default_rng(choice_seed)
+        self.bitgen = np.random.PCG64(0)
+        self.normal = np.random.Generator(self.bitgen).standard_normal
+        self.done = 0
+        line = config.line
+        bw = line.noise_bandwidth
+        n, self.m = in_band_bins(bw, config.sample_rate, config.bit_period)
+        r = (line.r_low, line.r_high)
+        # Per-component std of a source's bins, as in sample_bandlimited_gaussian.
+        s = [johnson_rms(x, line.t_eff, bw) * n / (2.0 * math.sqrt(self.m)) for x in r]
+        # By bin, solve_loop gives V = (A r_b + B r_a) / (r_a + r_b) and
+        # I = (A - B) / (r_a + r_b). Row 2a + b turns the Gram sums (A.A,
+        # A.B, B.B) of the two sources' bins into msv_u = 2/n^2 sum |V|^2
+        # and msv_i = 2/n^2 sum |I|^2 when the resistor bits are a and b.
+        self.weights = np.empty((4, 2, 3))
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            v_a, v_b = s[a] * r[b], s[b] * r[a]
+            self.weights[2 * a + b] = np.array(
+                [[v_a * v_a, 2 * v_a * v_b, v_b * v_b], [s[a] ** 2, -2 * s[a] * s[b], s[b] ** 2]]
+            ) * (2.0 / (n * (r[a] + r[b])) ** 2)
+
+    def chunks(self, count: int):
+        """Yield choices (resistor bits, k x 2), ``msv_u`` and ``msv_i`` for
+        the next ``count`` periods, ``_CHUNK`` periods at a time."""
+        end = self.done + count
+        z = np.empty((_CHUNK, 2, 2 * self.m))
+        while self.done < end:
+            size = min(_BATCH, end - self.done)
+            choices = self.choice_rng.integers(0, 2, size=(size, 2))
+            period = np.arange(self.done, self.done + size, dtype=np.uint32)
+            tails = (np.repeat(period, 2), np.tile(np.uint32([0, 1]), size))
+            states = _child_states(self.noise_root, tails).tolist()
+            self.done += size
+            for start in range(0, size, _CHUNK):
+                block = z[:min(_CHUNK, size - start)]
+                for row, words in zip(block.reshape(-1, 2 * self.m), states[2 * start:]):
+                    self.bitgen.state = _pcg64_state(words)
+                    self.normal(out=row)
+                part = choices[start:start + len(block)]
+                gram = block @ block.transpose(0, 2, 1)
+                sums = np.stack([gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]], axis=-1)
+                weights = self.weights[2 * part[:, 0] + part[:, 1]]
+                msv_u, msv_i = np.einsum("kcj,kj->ck", weights, sums)
+                yield part, msv_u, msv_i
+
+
+def _stats(config: ExchangeConfig, choices: np.ndarray, level: np.ndarray) -> ExchangeStats:
+    pairs = np.bincount(2 * choices[:, 0] + choices[:, 1], minlength=4)
+    periods = len(level)
     return ExchangeStats(
-        pair_counts={p: 0 for p in PairClass},
-        misclassified=0,
+        pair_counts={p: int(c) for p, c in zip(PairClass, pairs)},
+        # The true band of a period is LOW/MID/HIGH for 0/1/2 H resistors.
+        misclassified=int(np.count_nonzero(level != choices.sum(axis=1))),
         alarms=0,
-        periods=0,
-        kept_bits=0,
-        elapsed_s=0.0,
+        periods=periods,
+        kept_bits=int(np.count_nonzero(level == _MID)),
+        elapsed_s=periods * config.bit_period,
     )
-
-
-def _tally(stats: ExchangeStats, record: BitPeriodRecord, config: ExchangeConfig) -> None:
-    stats.pair_counts[record.pair] += 1
-    stats.periods += 1
-    stats.kept_bits += record.kept
-    stats.misclassified += record.classified is not expected_level(record.pair)
-    stats.alarms += record.alarm
-    stats.elapsed_s = stats.periods * config.bit_period
 
 
 def run_periods(
@@ -445,17 +573,18 @@ def run_periods(
     """Run a fixed number of bit-sharing periods (no key assembly)."""
     if n_periods < 0:
         raise InvalidParameterError("n_periods must be non-negative")
-    root = as_seed_sequence(seed)
-    choice_seed, noise_root = root.spawn(2)
-    rng = np.random.default_rng(choice_seed)
     records = []
-    stats = _blank_stats(config)
-    for _ in range(n_periods):
-        choices = choose_resistors(rng)
-        record = run_bit_period(config, choices, noise_root.spawn(1)[0])
-        records.append(record)
-        _tally(stats, record, config)
-    return records, stats
+    parts = [(np.empty((0, 2), np.int64), np.empty(0, np.int8))]
+    for choices, msv_u, msv_i in _Periods(config, seed).chunks(n_periods):
+        level = _classify(config, msv_u, msv_i)
+        parts.append((choices, level))
+        records += [
+            _record(config, (Resistor(a), Resistor(b)), u, i, _LEVELS[lev])
+            for (a, b), u, i, lev in zip(choices.tolist(), msv_u.tolist(), msv_i.tolist(),
+                                         level.tolist())
+        ]
+    choices, level = (np.concatenate(col) for col in zip(*parts))
+    return records, _stats(config, choices, level)
 
 
 def run_key_exchange(
@@ -468,38 +597,36 @@ def run_key_exchange(
     """
     if target_bits < 0:
         raise InvalidParameterError("target_bits must be non-negative")
-    root = as_seed_sequence(seed)
-    choice_seed, noise_root = root.spawn(2)
-    rng = np.random.default_rng(choice_seed)
-
-    stats = _blank_stats(config)
-    alice_bits: list[int] = []
-    bob_bits: list[int] = []
-    flags: list[int] = []
-    secure_periods: list[int] = []
+    engine = _Periods(config, seed)
     cap = int(math.ceil(config.timeout_factor * 2 * target_bits))
-
-    while len(alice_bits) < target_bits:
-        if stats.periods >= cap:
+    parts = [(np.empty((0, 2), np.int64), np.empty(0, np.int8))]
+    missing = target_bits
+    while missing > 0:
+        if engine.done >= cap:
             raise ExchangeTimeoutError(
-                f"no {target_bits}-bit key after {stats.periods} bit periods"
+                f"no {target_bits}-bit key after {engine.done} bit periods"
             )
-        choices = choose_resistors(rng)
-        record = run_bit_period(config, choices, noise_root.spawn(1)[0])
-        if record.kept:
-            secure_periods.append(stats.periods)
-            alice_bits.append(record.alice_bit)
-            bob_bits.append(record.bob_bit)
-            flags.append(BitFlag.SECURE)
-        else:
-            flags.append(BitFlag.DISCARDED_PUBLIC)
-        _tally(stats, record, config)
+        # A period is kept half the time: ask for a little over twice the
+        # missing bits, and stop at the period that completes the key.
+        for choices, msv_u, msv_i in engine.chunks(min(2 * missing + 16, cap - engine.done)):
+            level = _classify(config, msv_u, msv_i)
+            kept = np.flatnonzero(level == _MID)
+            if len(kept) >= missing:
+                end = kept[missing - 1] + 1
+                parts.append((choices[:end], level[:end]))
+                missing = 0
+                break
+            missing -= len(kept)
+            parts.append((choices, level))
 
-    flag_arr = np.array(flags, dtype=np.int8)
-    period_arr = np.array(secure_periods, dtype=np.int64)
-    alice = KeyMaterial(np.array(alice_bits, dtype=np.uint8), flag_arr, period_arr)
-    bob = KeyMaterial(np.array(bob_bits, dtype=np.uint8), flag_arr.copy(), period_arr.copy())
-    return alice, bob, stats
+    choices, level = (np.concatenate(col) for col in zip(*parts))
+    kept = level == _MID
+    flags = np.where(kept, BitFlag.SECURE, BitFlag.DISCARDED_PUBLIC).astype(np.int8)
+    periods = np.flatnonzero(kept).astype(np.int64)
+    alice_bits, bob_bits = _party_bits(config, choices[kept, 0], choices[kept, 1])
+    alice = KeyMaterial(alice_bits.astype(np.uint8), flags, periods)
+    bob = KeyMaterial(bob_bits.astype(np.uint8), flags.copy(), periods.copy())
+    return alice, bob, _stats(config, choices, level)
 
 
 @dataclass(frozen=True)
@@ -525,12 +652,9 @@ def estimate_ber(
     out = []
     for gamma in gamma_list:
         cfg = replace(config, gamma=float(gamma))
-        choice_seed, noise_root = root.spawn(1)[0].spawn(2)
-        rng = np.random.default_rng(choice_seed)
         errors = 0
-        for _ in range(runs_per_gamma):
-            choices = choose_resistors(rng)
-            record = run_bit_period(cfg, choices, noise_root.spawn(1)[0])
-            errors += record.classified is not expected_level(record.pair)
+        for choices, msv_u, msv_i in _Periods(cfg, root.spawn(1)[0]).chunks(runs_per_gamma):
+            level = _classify(cfg, msv_u, msv_i)
+            errors += int(np.count_nonzero(level != choices.sum(axis=1)))
         out.append(BerEstimate(float(gamma), runs_per_gamma, errors, errors / runs_per_gamma))
     return out

@@ -117,7 +117,18 @@ def _check_fields(d, known, where: str) -> None:
 
 def _parse_line(d, where: str) -> KljnLineConfig:
     _check_fields(d, LINE_FIELDS, where)
-    return KljnLineConfig(**d)
+    try:
+        return KljnLineConfig(**d)
+    except (InvalidParameterError, TypeError) as exc:
+        raise TopologyError(f"{where}: {exc}") from None
+
+
+def _number(d: dict, key: str, default, where: str, cast=float):
+    """``cast`` of ``d[key]`` (or the default), naming the path if it fails."""
+    try:
+        return cast(d.get(key, default))
+    except (TypeError, ValueError):
+        raise TopologyError(f"{where}.{key}: expected a number, got {d[key]!r}") from None
 
 
 def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
@@ -151,7 +162,7 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
             raise TopologyError(f"duplicate RSD id {rsd_id!r}")
         if rd.get("line") is None:
             raise TopologyError(f"RSD {rsd_id!r}: missing line config")
-        channels = int(rd.get("parallel_channels", 1))
+        channels = _number(rd, "parallel_channels", 1, where, int)
         if channels < 1:
             raise TopologyError(f"RSD {rsd_id!r}: parallel_channels must be >= 1")
         rsds_by_id[rsd_id] = Rsd(rsd_id, _parse_line(rd["line"], f"{where}.line"), channels)
@@ -178,9 +189,9 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
         if lane in seen_lanes:
             raise TopologyError(f"lane {lane!r} already has an RSKP pad")
         seen_lanes.add(lane)
-        pad_length = float(kd.get("pad_length_m", 2.0))
-        rate = float(kd.get("transfer_rate_bps", 1e6))
-        latency = float(kd.get("detector_latency_s", 0.0))
+        pad_length = _number(kd, "pad_length_m", 2.0, where)
+        rate = _number(kd, "transfer_rate_bps", 1e6, where)
+        latency = _number(kd, "detector_latency_s", 0.0, where)
         if pad_length <= 0:
             raise TopologyError(f"RSKP {rskp_id!r}: pad_length_m must be positive")
         if rate <= 0:
@@ -200,7 +211,7 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
                 pad_length=pad_length,
                 transfer_rate=rate,
                 detector_latency=latency,
-                pad_position=float(kd.get("pad_position_m", 0.0)),
+                pad_position=_number(kd, "pad_position_m", 0.0, where),
                 line=None if line is None else _parse_line(line, f"{where}.line"),
             )
         )
@@ -825,6 +836,9 @@ class Scenario:
         seed = d.get("seed", 0)
         if not isinstance(seed, int) or seed < 0:
             raise ConfigError("scenario: 'seed' must be a non-negative integer")
+        record_events = d.get("record_events", False)
+        if not isinstance(record_events, bool):
+            raise ConfigError("scenario: 'record_events' must be true or false")
         return cls(
             topology=topology,
             traffic=traffic,
@@ -832,7 +846,7 @@ class Scenario:
             pool=pool,
             duration_s=float(duration),
             seed=seed,
-            record_events=bool(d.get("record_events", False)),
+            record_events=record_events,
         )
 
     def run(self, seed=None, record_events=None, record_donations=False) -> NetworkMetrics:

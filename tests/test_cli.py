@@ -142,6 +142,24 @@ class TestSimulateCommand:
         assert not (tmp_path / "metrics.csv").exists()
 
 
+    @pytest.mark.parametrize("where, value, named", [
+        ("pad_length_m", "two", "topology.rskps[0].pad_length_m: expected a number"),
+        ("theta", 2.0, "topology.rsds[0].line: theta must lie strictly between 0 and 1"),
+    ])
+    def test_bad_topology_value_exits_2_naming_path(self, tmp_path, capsys, where, value, named):
+        from kljnsim import make_homogeneous_scenario
+
+        spec = make_homogeneous_scenario(vehicle_count=4, duration_s=100.0)
+        if where == "theta":
+            spec["topology"]["rsds"][0]["line"]["theta"] = value
+        else:
+            spec["topology"]["rskps"][0][where] = value
+        cfg = write_json(tmp_path / "s.json", spec)
+        assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path)) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+
 class TestAttackCommand:
     def test_accuracies_near_half_and_alarm_boundary(self, tmp_path):
         cfg = write_json(tmp_path / "a.json", {

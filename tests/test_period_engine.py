@@ -1,0 +1,281 @@
+"""The batched bit-period engine against the waveform path it replaces.
+
+``run_periods``, ``run_key_exchange`` and ``estimate_ber`` read each
+period's levels off its in-band Fourier bins, on the same random streams as
+``run_bit_period``. The per-period loops they used to run are kept here as
+oracles: keys, flags, stats and error counts must match them exactly.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from kljnsim import (
+    ExchangeConfig,
+    ExchangeTimeoutError,
+    KljnLineConfig,
+    PairClass,
+    Party,
+    Resistor,
+    choose_resistors,
+    classify_period,
+    estimate_ber,
+    run_bit_period,
+    run_key_exchange,
+    run_periods,
+    theoretical_msv,
+)
+from kljnsim.physics import as_seed_sequence
+from kljnsim.protocol import (
+    BitFlag,
+    KeyMaterial,
+    _LEVELS,
+    _Periods,
+    _child_states,
+    _classify,
+    _pcg64_state,
+    expected_level,
+)
+
+# -- The per-period loops the engine replaced ---------------------------------
+
+
+def oracle_periods(config, n_periods, seed):
+    root = as_seed_sequence(seed)
+    choice_seed, noise_root = root.spawn(2)
+    rng = np.random.default_rng(choice_seed)
+    return [
+        run_bit_period(config, choose_resistors(rng), noise_root.spawn(1)[0])
+        for _ in range(n_periods)
+    ]
+
+
+def oracle_stats(config, records):
+    pairs = {p: 0 for p in PairClass}
+    for record in records:
+        pairs[record.pair] += 1
+    return (
+        pairs,
+        sum(r.classified is not expected_level(r.pair) for r in records),
+        sum(r.alarm for r in records),
+        len(records),
+        sum(r.kept for r in records),
+        len(records) * config.bit_period,
+    )
+
+
+def stats_tuple(stats):
+    return (stats.pair_counts, stats.misclassified, stats.alarms, stats.periods,
+            stats.kept_bits, stats.elapsed_s)
+
+
+def oracle_key_exchange(config, target_bits, seed):
+    root = as_seed_sequence(seed)
+    choice_seed, noise_root = root.spawn(2)
+    rng = np.random.default_rng(choice_seed)
+    records, alice_bits, bob_bits = [], [], []
+    cap = int(math.ceil(config.timeout_factor * 2 * target_bits))
+    while len(alice_bits) < target_bits:
+        if len(records) >= cap:
+            raise ExchangeTimeoutError(
+                f"no {target_bits}-bit key after {len(records)} bit periods"
+            )
+        record = run_bit_period(config, choose_resistors(rng), noise_root.spawn(1)[0])
+        records.append(record)
+        if record.kept:
+            alice_bits.append(record.alice_bit)
+            bob_bits.append(record.bob_bit)
+    flags = np.array(
+        [BitFlag.SECURE if r.kept else BitFlag.DISCARDED_PUBLIC for r in records],
+        dtype=np.int8,
+    )
+    periods = np.array([j for j, r in enumerate(records) if r.kept], dtype=np.int64)
+    alice = KeyMaterial(np.array(alice_bits, dtype=np.uint8), flags, periods)
+    bob = KeyMaterial(np.array(bob_bits, dtype=np.uint8), flags.copy(), periods.copy())
+    return alice, bob, oracle_stats(config, records)
+
+
+def oracle_ber(config, gamma_list, runs, seed):
+    root = as_seed_sequence(seed)
+    out = []
+    for gamma in gamma_list:
+        cfg = dataclasses.replace(config, gamma=float(gamma))
+        records = oracle_periods(cfg, runs, root.spawn(1)[0])
+        out.append(sum(r.classified is not expected_level(r.pair) for r in records))
+    return out
+
+
+def same_key(mine, theirs):
+    for field in ("bits", "flags", "secure_periods"):
+        a, b = getattr(mine, field), getattr(theirs, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+CONFIGS = {
+    "default": ExchangeConfig(),
+    "voltage-alice": ExchangeConfig(classify_on="voltage", inverting_party=Party.ALICE),
+    "current-g10": ExchangeConfig(classify_on="current", gamma=10.0),
+    "other-line": ExchangeConfig(
+        line=KljnLineConfig(r_low=2e3, r_high=7e3, line_length=500.0),
+        gamma=30.0,
+        oversample=4.0,
+    ),
+}
+
+
+# -- Seeds and generator states ----------------------------------------------
+
+
+def _roots():
+    nested = np.random.SeedSequence([5, 6]).spawn(3)[2].spawn(2)[1].spawn(1)[0]
+    return {
+        "small int": np.random.SeedSequence(5).spawn(2)[1],
+        "unspawned small int": np.random.SeedSequence(5),
+        "[s, i]": np.random.SeedSequence([1, 7]).spawn(2)[1],
+        "128-bit int": np.random.SeedSequence(2**127 + 2**64 + 3).spawn(2)[1],
+        "nested spawn keys": nested,
+        "pool size 8": np.random.SeedSequence([9, 2**40], pool_size=8).spawn(2)[1],
+    }
+
+
+@pytest.mark.parametrize("name", list(_roots()))
+def test_child_states_match_seed_sequence(name):
+    root = _roots()[name]
+    periods = np.uint32([0, 0, 1, 1, 63, 1000, 2**32 - 1])
+    sides = np.uint32([0, 1, 0, 1, 1, 0, 1])
+    states = _child_states(root, (periods, sides))
+    assert states.shape == (len(periods), 4) and states.dtype == np.uint64
+    for row, j, c in zip(states, periods.tolist(), sides.tolist()):
+        child = np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (j, c), pool_size=root.pool_size
+        )
+        assert np.array_equal(row, child.generate_state(4, np.uint64))
+        assert _pcg64_state(row.tolist()) == np.random.PCG64(child).state
+
+
+def test_child_is_the_spawn_chain_of_the_waveform_path():
+    noise_root = np.random.SeedSequence([3, 4]).spawn(2)[1]
+    for j in range(3):
+        for c, chained in enumerate(noise_root.spawn(1)[0].spawn(2)):
+            mine = _child_states(noise_root, (np.uint32([j]), np.uint32([c])))[0]
+            assert np.array_equal(mine, chained.generate_state(4, np.uint64))
+
+
+# -- Levels and classification -------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [1.0, 10.0, 100.0])
+def test_levels_match_waveform_path(gamma):
+    config = ExchangeConfig(gamma=gamma)
+    engine = _Periods(config, 2026)
+    noise_root = engine.noise_root
+    choices, msv_u, msv_i = next(engine.chunks(24))
+    seen = set()
+    for j, (a, b) in enumerate(choices.tolist()):
+        seed = np.random.SeedSequence(
+            noise_root.entropy, spawn_key=noise_root.spawn_key + (j,)
+        )
+        record = run_bit_period(config, (Resistor(a), Resistor(b)), seed)
+        seen.add(record.pair)
+        assert msv_u[j] == pytest.approx(record.msv_u, rel=1e-12, abs=0)
+        assert msv_i[j] == pytest.approx(record.msv_i, rel=1e-12, abs=0)
+    assert seen == set(PairClass)
+
+
+@pytest.mark.parametrize("mode", ["voltage", "current", "both"])
+def test_vectorised_classifier_matches_classify_period(mode):
+    config = ExchangeConfig(classify_on=mode)
+    us, is_ = [], []
+    for pair in PairClass:
+        u, i = theoretical_msv(config.line, pair)
+        us.append(u)
+        is_.append(i)
+    for threshold in config.voltage_thresholds:
+        us += [threshold, np.nextafter(threshold, 0), np.nextafter(threshold, np.inf)]
+    for threshold in config.current_thresholds:
+        is_ += [threshold, np.nextafter(threshold, 0), np.nextafter(threshold, np.inf)]
+    u_grid, i_grid = (a.ravel() for a in np.meshgrid(us, is_))
+    codes = _classify(config, u_grid, i_grid)
+    for u, i, code in zip(u_grid, i_grid, codes.tolist()):
+        assert _LEVELS[code] is classify_period(config, float(u), float(i)), (u, i)
+
+
+# -- The public entry points against the old loops ---------------------------
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+@pytest.mark.parametrize("target", [0, 1, 128])
+def test_key_exchange_matches_period_loop(name, target):
+    config = CONFIGS[name]
+    for seed in (4, [11, 2]):
+        alice, bob, stats = run_key_exchange(config, target, seed)
+        o_alice, o_bob, o_stats = oracle_key_exchange(config, target, seed)
+        same_key(alice, o_alice)
+        same_key(bob, o_bob)
+        assert stats_tuple(stats) == o_stats
+        assert all(type(v) is int for v in stats.pair_counts.values())
+
+
+def _outcome(run, config, target, seed):
+    try:
+        return run(config, target, seed)
+    except ExchangeTimeoutError as exc:
+        return f"timeout: {exc}"
+
+
+def test_timeout_matches_period_loop():
+    loose = ExchangeConfig(timeout_factor=1.0)
+    u_lh, _ = theoretical_msv(loose.line, PairClass.LH)
+    sliver = dataclasses.replace(
+        loose, classify_on="voltage", voltage_thresholds=(u_lh * 0.999, u_lh * 1.001)
+    )
+    kinds = set()
+    for config, target, seed in [(sliver, 20, 3), *((loose, 64, s) for s in range(8))]:
+        mine = _outcome(run_key_exchange, config, target, seed)
+        theirs = _outcome(oracle_key_exchange, config, target, seed)
+        if isinstance(theirs, str):
+            assert mine == theirs
+            kinds.add("timeout")
+        else:
+            same_key(mine[0], theirs[0])
+            same_key(mine[1], theirs[1])
+            assert stats_tuple(mine[2]) == theirs[2]
+            kinds.add("key")
+    # A cap of twice the target lets some exchanges finish and not others.
+    assert kinds == {"key", "timeout"}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+@pytest.mark.parametrize("n_periods", [0, 150])
+def test_run_periods_matches_period_loop(name, n_periods):
+    config = CONFIGS[name]
+    records, stats = run_periods(config, n_periods, [8, 1])
+    expected = oracle_periods(config, n_periods, [8, 1])
+    assert stats_tuple(stats) == oracle_stats(config, expected)
+    for mine, theirs in zip(records, expected, strict=True):
+        assert dataclasses.replace(mine, msv_u=0.0, msv_i=0.0) == dataclasses.replace(
+            theirs, msv_u=0.0, msv_i=0.0
+        )
+        assert mine.msv_u == pytest.approx(theirs.msv_u, rel=1e-12, abs=0)
+        assert mine.msv_i == pytest.approx(theirs.msv_i, rel=1e-12, abs=0)
+
+
+def test_estimate_ber_matches_period_loop():
+    config = ExchangeConfig()
+    for seed in (1, [2, 9]):
+        table = estimate_ber(config, [10, 30, 100], 150, seed)
+        assert [row.errors for row in table] == oracle_ber(config, [10, 30, 100], 150, seed)
+    assert sum(row.errors for row in table) > 0
+
+
+def test_chunks_cover_batches_and_partial_chunks():
+    # Periods split over several hash batches and odd-sized chunks draw the
+    # same streams as one long run.
+    config = ExchangeConfig(gamma=10.0)
+    whole = [np.concatenate(col) for col in zip(*_Periods(config, 5).chunks(2100))]
+    engine = _Periods(config, 5)
+    parts = [c for count in (1, 63, 1100, 936) for c in engine.chunks(count)]
+    for mine, theirs in zip((np.concatenate(col) for col in zip(*parts)), whole):
+        assert np.array_equal(mine, theirs)

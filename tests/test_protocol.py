@@ -1,6 +1,7 @@
 """Bit-sharing protocol: selection, classification, keys, alarm, error rates."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -266,6 +267,33 @@ class TestRunKeyExchange:
         )
         with pytest.raises(ExchangeTimeoutError):
             run_key_exchange(starved, 50, 3)
+
+
+def _exchange_digest(seed):
+    alice, bob, stats = run_key_exchange(ExchangeConfig(), 128, seed)
+    digest = hashlib.sha256()
+    for key in (alice, bob):
+        for arr in (key.bits, key.flags, key.secure_periods):
+            digest.update(arr.dtype.str.encode())
+            digest.update(arr.tobytes())
+    counts = [(p.value, c) for p, c in stats.pair_counts.items()]
+    digest.update(repr((counts, stats.misclassified, stats.alarms, stats.periods,
+                        stats.kept_bits, stats.elapsed_s)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (1, "c2687db77af10b6b4bb57323a200e758c36e21fa950d0cda5e17b26c3fe474cb"),
+        ([7, 3], "d04745fa8f47ee4d993bace7aa802a61239a3ade4ad79465d39bbc2f7d0066fa"),
+        (2**100 + 5, "59a20bb14de84c0caba7fd88d9c74aa283dbf9910c21e34dac72fce289dc397e"),
+    ],
+)
+def test_key_exchange_pinned(seed, expected):
+    # Recorded with the per-period waveform loop: the keys, flags and stats
+    # of run_key_exchange do not depend on how the levels are computed.
+    assert _exchange_digest(seed) == expected
 
 
 class TestMonitorEndpoints:

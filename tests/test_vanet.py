@@ -96,6 +96,30 @@ class TestBuildTopology:
             build_topology(spec)
         assert str(info.value) == f"topology.{path}: unknown field(s) [{key!r}]"
 
+    @pytest.mark.parametrize("path, key, value, message", [
+        ("rskps[0]", "pad_length_m", "two", "expected a number, got 'two'"),
+        ("rskps[0]", "pad_position_m", None, "expected a number, got None"),
+        ("rsds[0]", "parallel_channels", "many", "expected a number, got 'many'"),
+    ])
+    def test_bad_number_named_by_path(self, path, key, value, message):
+        spec = one_rsd_spec()
+        entry = spec["rskps"][0] if path == "rskps[0]" else spec["rsds"][0]
+        entry[key] = value
+        with pytest.raises(TopologyError) as info:
+            build_topology(spec)
+        assert str(info.value) == f"topology.{path}.{key}: {message}"
+
+    @pytest.mark.parametrize("line, message", [
+        ({"theta": 2.0}, "theta must lie strictly between 0 and 1"),
+        ({"r_low": "10k"}, "not supported"),
+    ])
+    def test_bad_line_value_named_by_path(self, line, message):
+        spec = one_rsd_spec()
+        spec["rsds"][0]["line"] = line
+        with pytest.raises(TopologyError, match=r"^topology\.rsds\[0\]\.line: ") as info:
+            build_topology(spec)
+        assert message in str(info.value)
+
     def test_unknown_topology_key_named(self):
         spec = one_rsd_spec()
         spec["gamma"] = 100.0
@@ -311,6 +335,19 @@ class TestScenarioParsing:
         spec["traffic"]["speed_range"] = [0.0, 10.0]
         with pytest.raises(ConfigError, match="traffic"):
             Scenario.from_dict(spec)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_boolean_record_events_rejected(self, value):
+        spec = small_scenario()
+        spec["record_events"] = value
+        with pytest.raises(ConfigError, match="record_events"):
+            Scenario.from_dict(spec)
+
+    def test_boolean_record_events_kept(self):
+        spec = small_scenario()
+        for value in (True, False):
+            spec["record_events"] = value
+            assert Scenario.from_dict(spec).record_events is value
 
     def test_bad_duration_rejected(self):
         spec = small_scenario()
