@@ -20,15 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .adversary import injection_sweep, passive_sweep
-from .errors import ConfigError, InvalidParameterError
+from .adversary import Waveform, injection_sweep, passive_sweep
+from .config import from_dict
+from .errors import ConfigError
 from .lifetime import LifetimeParams, key_lifetime
-from .physics import LINE_FIELDS, KljnLineConfig, as_seed_sequence
-from .protocol import ExchangeConfig, Party, estimate_ber, run_key_exchange
+from .physics import as_seed_sequence
+from .protocol import ExchangeConfig, estimate_ber, run_key_exchange
 from .vanet import EventKind, Scenario, make_homogeneous_scenario
 
 DEFAULT_SEED = 12345
@@ -74,53 +76,41 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _reject_unknown(config: dict, known: set[str], where: str) -> None:
-    unknown = set(config) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
+@dataclass(frozen=True)
+class _ExchangeCommand(ExchangeConfig):
+    """``exchange`` config: every ExchangeConfig key plus the key length."""
+
+    target_bits: int = 100
 
 
-def _line_from(config: dict) -> KljnLineConfig:
-    raw = config.get("line", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("field 'line' must be an object")
-    _reject_unknown(raw, LINE_FIELDS, "field 'line'")
-    try:
-        return KljnLineConfig(**raw)
-    except (TypeError, InvalidParameterError) as exc:
-        raise ConfigError(f"field 'line': {exc}") from exc
+@dataclass(frozen=True)
+class _Injection:
+    """``attack``'s ``injection`` object: the alarm sweep."""
+
+    relative_amplitudes: tuple[float, ...] = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+    periods_per_amplitude: int = 50
+    waveform: Waveform = Waveform.CONSTANT
 
 
-def _exchange_config(config: dict) -> ExchangeConfig:
-    known = {
-        "line", "gamma", "oversample", "alarm_tolerance",
-        "inverting_party", "classify_on", "timeout_factor", "target_bits",
-    }
-    _reject_unknown(config, known, "config")
-    try:
-        inverting = Party(config.get("inverting_party", "bob"))
-    except ValueError as exc:
-        raise ConfigError("field 'inverting_party' must be 'alice' or 'bob'") from exc
-    try:
-        return ExchangeConfig(
-            line=_line_from(config),
-            gamma=float(config.get("gamma", 100.0)),
-            oversample=float(config.get("oversample", 10.0)),
-            alarm_tolerance=float(config.get("alarm_tolerance", 1e-9)),
-            inverting_party=inverting,
-            classify_on=config.get("classify_on", "both"),
-            timeout_factor=float(config.get("timeout_factor", 100.0)),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+@dataclass(frozen=True)
+class _AttackCommand(ExchangeConfig):
+    """``attack`` config: every ExchangeConfig key plus both sweeps' sizes."""
+
+    periods: int = 2000
+    injection: _Injection = _Injection()
+
+
+@dataclass(frozen=True)
+class _BerCommand(ExchangeConfig):
+    """``ber`` config: every ExchangeConfig key plus the sweep."""
+
+    gamma_list: tuple[float, ...] = (10.0, 30.0, 100.0)
+    runs_per_gamma: int = 300
 
 
 def cmd_exchange(config: dict, seed, outdir: Path, suffix: str) -> None:
-    exchange = _exchange_config(config)
-    target = config.get("target_bits", 100)
-    if not isinstance(target, int) or target < 0:
-        raise ConfigError("field 'target_bits' must be a non-negative integer")
-    alice, bob, stats = run_key_exchange(exchange, target, seed)
+    exchange = from_dict(_ExchangeCommand, config, "config")
+    alice, bob, stats = run_key_exchange(exchange, exchange.target_bits, seed)
     _write_csv(
         outdir / f"keys{suffix}.csv",
         ["party", "length", "key_hex"],
@@ -143,26 +133,10 @@ def cmd_exchange(config: dict, seed, outdir: Path, suffix: str) -> None:
 
 
 def cmd_lifetime(config: dict, seed, outdir: Path, suffix: str) -> None:
-    known = {
-        "theta", "wave_speed", "line_length", "gamma", "key_length",
-        "car_count", "kljn_unit_count", "car_density", "parallel_channels",
-    }
-    _reject_unknown(config, known, "config")
-    try:
-        params = LifetimeParams(
-            theta=float(config.get("theta", 0.1)),
-            wave_speed=float(config.get("wave_speed", 2e8)),
-            line_length=float(config.get("line_length", 1000.0)),
-            gamma=float(config.get("gamma", 100.0)),
-            key_length=float(config.get("key_length", 100)),
-            car_count=config.get("car_count"),
-            kljn_unit_count=config.get("kljn_unit_count"),
-            car_density=config.get("car_density", 1000.0 if "car_count" not in config else None),
-            parallel_channels=int(config.get("parallel_channels", 1)),
-        )
-        report = key_lifetime(params)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "car_count" not in config:
+        config = {"car_density": 1000.0, **config}
+    params = from_dict(LifetimeParams, config, "config")
+    report = key_lifetime(params)
     _write_csv(
         outdir / f"lifetime{suffix}.csv",
         [
@@ -237,42 +211,15 @@ def cmd_simulate(config: dict, seed, outdir: Path, suffix: str) -> None:
 
 
 def cmd_attack(config: dict, seed, outdir: Path, suffix: str) -> None:
-    known = {
-        "line", "gamma", "oversample", "alarm_tolerance", "inverting_party",
-        "classify_on", "timeout_factor", "periods", "injection",
-    }
-    _reject_unknown(config, known, "config")
-    exchange = _exchange_config({k: v for k, v in config.items() if k not in ("periods", "injection")})
-    periods = config.get("periods", 2000)
-    if not isinstance(periods, int) or periods < 2:
-        raise ConfigError("field 'periods' must be an integer >= 2")
-    injection = config.get("injection", {})
-    if not isinstance(injection, dict):
-        raise ConfigError("field 'injection' must be an object")
-    _reject_unknown(
-        injection,
-        {"relative_amplitudes", "periods_per_amplitude", "waveform"},
-        "field 'injection'",
-    )
-    amplitudes = injection.get(
-        "relative_amplitudes", [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0]
-    )
-    if not isinstance(amplitudes, list) or not all(
-        isinstance(a, (int, float)) and a >= 0 for a in amplitudes
-    ):
-        raise ConfigError(
-            "field 'injection.relative_amplitudes' must be a list of numbers >= 0"
-        )
-    per_amp = injection.get("periods_per_amplitude", 50)
-    if not isinstance(per_amp, int) or per_amp < 1:
-        raise ConfigError("field 'injection.periods_per_amplitude' must be a positive integer")
-
+    attack = from_dict(_AttackCommand, config, "config")
+    injection = attack.injection
     passive_seed, sweep_seed = as_seed_sequence(seed).spawn(2)
-    passive = passive_sweep(exchange, periods, passive_seed)
-    try:
-        points = injection_sweep(exchange, amplitudes, per_amp, sweep_seed)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"field 'injection': {exc}") from exc
+    # The cheap sweep first, so that its bad inputs fail before the long one.
+    points = injection_sweep(
+        attack, injection.relative_amplitudes, injection.periods_per_amplitude,
+        sweep_seed, injection.waveform,
+    )
+    passive = passive_sweep(attack, attack.periods, passive_seed)
 
     _write_csv(
         outdir / f"passive_accuracy{suffix}.csv",
@@ -290,26 +237,8 @@ def cmd_attack(config: dict, seed, outdir: Path, suffix: str) -> None:
 
 
 def cmd_ber(config: dict, seed, outdir: Path, suffix: str) -> None:
-    known = {
-        "line", "gamma", "oversample", "alarm_tolerance", "inverting_party",
-        "classify_on", "timeout_factor", "gamma_list", "runs_per_gamma",
-    }
-    _reject_unknown(config, known, "config")
-    exchange = _exchange_config(
-        {k: v for k, v in config.items() if k not in ("gamma_list", "runs_per_gamma")}
-    )
-    gamma_list = config.get("gamma_list", [10, 30, 100])
-    if not isinstance(gamma_list, list) or not all(
-        isinstance(g, (int, float)) and g >= 1 for g in gamma_list
-    ):
-        raise ConfigError("field 'gamma_list' must be a list of numbers >= 1")
-    runs = config.get("runs_per_gamma", 300)
-    if not isinstance(runs, int) or runs < 100:
-        raise ConfigError("field 'runs_per_gamma' must be an integer >= 100")
-    try:
-        table = estimate_ber(exchange, gamma_list, runs, seed)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    ber = from_dict(_BerCommand, config, "config")
+    table = estimate_ber(ber, ber.gamma_list, ber.runs_per_gamma, seed)
     _write_csv(
         outdir / f"ber{suffix}.csv",
         ["gamma", "runs", "errors", "ber"],
@@ -370,9 +299,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    # ConfigError and friends subclass ValueError; TypeError covers values of
-    # the wrong JSON type reaching a numeric coercion.
-    except (ValueError, TypeError) as exc:
+    # ConfigError, InvalidParameterError and TopologyError subclass ValueError.
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,23 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .physics import LOW_GAMMA_LIMIT, NO_WAVE_THETA_LIMIT
+from .physics import LOW_GAMMA_LIMIT, NO_WAVE_THETA_LIMIT, KljnLineConfig
 
 _REL_TOL = 1e-9
 
 
 def noise_bandwidth(theta: float, wave_speed: float, line_length: float) -> float:
     """Noise bandwidth in Hz of a line: theta * wave_speed / line_length."""
-    if theta >= 1:
-        raise InvalidParameterError(
-            "theta must be below 1: the no-wave limit requires the bandwidth "
-            "to stay below wave_speed / line_length"
-        )
-    if theta <= 0:
-        raise InvalidParameterError("theta must be positive")
-    if wave_speed <= 0 or line_length <= 0:
-        raise InvalidParameterError("wave_speed and line_length must be positive")
-    return theta * wave_speed / line_length
+    line = KljnLineConfig(theta=theta, wave_speed=wave_speed, line_length=line_length)
+    return line.noise_bandwidth
 
 
 def secure_bit_rate(bandwidth: float, gamma: float, parallel_channels: int = 1) -> float:
@@ -84,17 +76,18 @@ def per_car_rate(secure_rate: float, density: float) -> float:
 
 @dataclass(frozen=True)
 class LifetimeParams:
-    """Inputs of the key-lifetime planner.
+    """Inputs of the key-lifetime planner; the defaults are the worked example
+    (a 1 km line at theta 0.1, gamma 100, 100-bit keys).
 
     Either ``car_density`` or the pair ``car_count`` / ``kljn_unit_count``
     must be given; when all three are present they must be consistent.
     """
 
-    theta: float
-    wave_speed: float
-    line_length: float
-    gamma: float
-    key_length: float
+    theta: float = 0.1
+    wave_speed: float = 2e8
+    line_length: float = 1000.0
+    gamma: float = 100.0
+    key_length: float = 100.0
     car_count: float | None = None
     kljn_unit_count: int | None = None
     car_density: float | None = None

@@ -11,7 +11,7 @@ including an eavesdropper, can observe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -120,10 +120,6 @@ class KljnLineConfig:
         if self.theta >= NO_WAVE_THETA_LIMIT:
             return ("no-wave-limit",)
         return ()
-
-
-#: The keys a ``line`` object of a JSON config may set.
-LINE_FIELDS = frozenset(f.name for f in fields(KljnLineConfig))
 
 
 @dataclass(frozen=True, eq=False)

@@ -110,8 +110,8 @@ class ExchangeConfig:
     line: KljnLineConfig = field(default_factory=KljnLineConfig)
     gamma: float = 100.0
     oversample: float = DEFAULT_OVERSAMPLE
-    voltage_thresholds: tuple[float, float] | None = None
-    current_thresholds: tuple[float, float] | None = None
+    voltage_thresholds: tuple[float, float] | None = field(default=None, metadata={"key": None})
+    current_thresholds: tuple[float, float] | None = field(default=None, metadata={"key": None})
     alarm_tolerance: float = 1e-9
     inverting_party: Party = Party.BOB
     classify_on: str = "both"

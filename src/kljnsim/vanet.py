@@ -25,9 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import from_dict
 from .errors import ConfigError, InvalidParameterError, TopologyError
 from .lifetime import secure_bit_rate
-from .physics import LINE_FIELDS, KljnLineConfig, as_seed_sequence
+from .physics import KljnLineConfig, as_seed_sequence
 
 
 class EventKind(str, Enum):
@@ -57,13 +58,23 @@ class Rskp:
     """Lane-embedded key provider pad, attached to exactly one RSD."""
 
     id: str
-    rsd_id: str
+    rsd_id: str = field(metadata={"key": "rsd"})
     lane: str
-    pad_length: float
-    transfer_rate: float
-    detector_latency: float = 0.0
-    pad_position: float = 0.0
+    pad_length: float = field(default=2.0, metadata={"key": "pad_length_m"})
+    transfer_rate: float = field(default=1e6, metadata={"key": "transfer_rate_bps"})
+    detector_latency: float = field(default=0.0, metadata={"key": "detector_latency_s"})
+    pad_position: float = field(default=0.0, metadata={"key": "pad_position_m"})
     line: KljnLineConfig | None = None
+
+    def __post_init__(self) -> None:
+        if not self.id or not self.lane:
+            raise InvalidParameterError("an RSKP needs a non-empty id and lane")
+        if self.pad_length <= 0:
+            raise InvalidParameterError("pad length must be positive")
+        if self.transfer_rate <= 0:
+            raise InvalidParameterError("transfer rate must be positive")
+        if self.detector_latency < 0:
+            raise InvalidParameterError("detector latency must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,7 +84,13 @@ class Rsd:
     id: str
     line: KljnLineConfig
     parallel_channels: int = 1
-    rskps: tuple[Rskp, ...] = ()
+    rskps: tuple[Rskp, ...] = field(default=(), metadata={"key": None})
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise InvalidParameterError("an RSD needs a non-empty id")
+        if self.parallel_channels < 1:
+            raise InvalidParameterError("parallel_channels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,29 +123,13 @@ class Topology:
         )
 
 
-def _check_fields(d, known, where: str) -> None:
-    """Reject a non-object or a key outside ``known``, naming its path."""
-    if not isinstance(d, dict):
-        raise TopologyError(f"{where} must be an object")
-    unknown = set(d) - known
-    if unknown:
-        raise TopologyError(f"{where}: unknown field(s) {sorted(unknown)}")
+@dataclass(frozen=True)
+class _TopologySpec:
+    """The topology JSON object: RSKPs are listed apart and name their RSD."""
 
-
-def _parse_line(d, where: str) -> KljnLineConfig:
-    _check_fields(d, LINE_FIELDS, where)
-    try:
-        return KljnLineConfig(**d)
-    except (InvalidParameterError, TypeError) as exc:
-        raise TopologyError(f"{where}: {exc}") from None
-
-
-def _number(d: dict, key: str, default, where: str, cast=float):
-    """``cast`` of ``d[key]`` (or the default), naming the path if it fails."""
-    try:
-        return cast(d.get(key, default))
-    except (TypeError, ValueError):
-        raise TopologyError(f"{where}.{key}: expected a number, got {d[key]!r}") from None
+    rsds: tuple[Rsd, ...] = ()
+    rskps: tuple[Rskp, ...] = ()
+    kljn_endpoint: str = "rsd"
 
 
 def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
@@ -140,83 +141,40 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
          "rsds":  [{"id", "line": {...}, "parallel_channels"}],
          "rskps": [{"id", "rsd", "lane", "pad_length_m", "transfer_rate_bps",
                     "detector_latency_s", "pad_position_m", "line": {...}}]}
+
+    Every error names its path below ``topology``.
     """
-    _check_fields(spec, {"kljn_endpoint", "rsds", "rskps"}, "topology")
-    endpoint = spec.get("kljn_endpoint", "rsd")
+    try:
+        parsed = from_dict(_TopologySpec, spec, "topology")
+    except ConfigError as exc:
+        raise TopologyError(str(exc)) from None
+    endpoint = parsed.kljn_endpoint
     if endpoint not in ("rsd", "rskp"):
-        raise TopologyError("kljn_endpoint must be 'rsd' or 'rskp'")
+        raise TopologyError(f"topology.kljn_endpoint: expected 'rsd' or 'rskp', got {endpoint!r}")
+    if not parsed.rsds:
+        raise TopologyError("topology: needs at least one RSD")
 
-    rsd_specs = spec.get("rsds", [])
-    rskp_specs = spec.get("rskps", [])
-    if not rsd_specs:
-        raise TopologyError("topology needs at least one RSD")
-
-    rsds_by_id: dict[str, Rsd] = {}
-    for i, rd in enumerate(rsd_specs):
-        where = f"topology.rsds[{i}]"
-        _check_fields(rd, {"id", "line", "parallel_channels"}, where)
-        rsd_id = rd.get("id")
-        if not rsd_id:
-            raise TopologyError("every RSD needs an 'id'")
-        if rsd_id in rsds_by_id:
-            raise TopologyError(f"duplicate RSD id {rsd_id!r}")
-        if rd.get("line") is None:
-            raise TopologyError(f"RSD {rsd_id!r}: missing line config")
-        channels = _number(rd, "parallel_channels", 1, where, int)
-        if channels < 1:
-            raise TopologyError(f"RSD {rsd_id!r}: parallel_channels must be >= 1")
-        rsds_by_id[rsd_id] = Rsd(rsd_id, _parse_line(rd["line"], f"{where}.line"), channels)
-
-    rskps_by_rsd: dict[str, list[Rskp]] = {rsd_id: [] for rsd_id in rsds_by_id}
-    seen_rskp_ids = set()
-    seen_lanes = set()
-    for i, kd in enumerate(rskp_specs):
+    rskps_by_rsd: dict[str, list[Rskp]] = {}
+    for i, rsd in enumerate(parsed.rsds):
+        if rsd.id in rskps_by_rsd:
+            raise TopologyError(f"topology.rsds[{i}]: duplicate RSD id {rsd.id!r}")
+        rskps_by_rsd[rsd.id] = []
+    seen_ids, seen_lanes = set(), set()
+    for i, rskp in enumerate(parsed.rskps):
         where = f"topology.rskps[{i}]"
-        _check_fields(kd, {"id", "rsd", "lane", "pad_length_m", "transfer_rate_bps",
-                           "detector_latency_s", "pad_position_m", "line"}, where)
-        rskp_id = kd.get("id")
-        if not rskp_id:
-            raise TopologyError("every RSKP needs an 'id'")
-        if rskp_id in seen_rskp_ids:
-            raise TopologyError(f"duplicate RSKP id {rskp_id!r}")
-        seen_rskp_ids.add(rskp_id)
-        owner = kd.get("rsd")
-        if owner not in rskps_by_rsd:
-            raise TopologyError(f"RSKP {rskp_id!r} references unknown RSD {owner!r}")
-        lane = kd.get("lane")
-        if not lane:
-            raise TopologyError(f"RSKP {rskp_id!r} needs a 'lane'")
-        if lane in seen_lanes:
-            raise TopologyError(f"lane {lane!r} already has an RSKP pad")
-        seen_lanes.add(lane)
-        pad_length = _number(kd, "pad_length_m", 2.0, where)
-        rate = _number(kd, "transfer_rate_bps", 1e6, where)
-        latency = _number(kd, "detector_latency_s", 0.0, where)
-        if pad_length <= 0:
-            raise TopologyError(f"RSKP {rskp_id!r}: pad_length_m must be positive")
-        if rate <= 0:
-            raise TopologyError(f"RSKP {rskp_id!r}: transfer_rate_bps must be positive")
-        if latency < 0:
-            raise TopologyError(f"RSKP {rskp_id!r}: detector_latency_s must be >= 0")
-        line = kd.get("line")
-        if endpoint == "rskp" and line is None:
-            raise TopologyError(
-                f"RSKP {rskp_id!r}: missing line config (required in rskp endpoint mode)"
-            )
-        rskps_by_rsd[owner].append(
-            Rskp(
-                id=rskp_id,
-                rsd_id=owner,
-                lane=lane,
-                pad_length=pad_length,
-                transfer_rate=rate,
-                detector_latency=latency,
-                pad_position=_number(kd, "pad_position_m", 0.0, where),
-                line=None if line is None else _parse_line(line, f"{where}.line"),
-            )
-        )
+        if rskp.id in seen_ids:
+            raise TopologyError(f"{where}: duplicate RSKP id {rskp.id!r}")
+        if rskp.rsd_id not in rskps_by_rsd:
+            raise TopologyError(f"{where}: references unknown RSD {rskp.rsd_id!r}")
+        if rskp.lane in seen_lanes:
+            raise TopologyError(f"{where}: lane {rskp.lane!r} already has an RSKP pad")
+        if endpoint == "rskp" and rskp.line is None:
+            raise TopologyError(f"{where}: missing line config (required in rskp endpoint mode)")
+        seen_ids.add(rskp.id)
+        seen_lanes.add(rskp.lane)
+        rskps_by_rsd[rskp.rsd_id].append(rskp)
 
-    rsds = tuple(replace(rsd, rskps=tuple(rskps_by_rsd[rsd.id])) for rsd in rsds_by_id.values())
+    rsds = tuple(replace(rsd, rskps=tuple(rskps_by_rsd[rsd.id])) for rsd in parsed.rsds)
     return Topology(rsds=rsds, kljn_endpoint=endpoint, gamma=float(gamma))
 
 
@@ -766,6 +724,25 @@ def run_scenario(
 
 
 @dataclass(frozen=True)
+class _ScenarioSpec:
+    """The scenario JSON object; its topology is built with the protocol's gamma."""
+
+    topology: dict
+    duration_s: float
+    traffic: TrafficModel = TrafficModel()
+    protocol: ProtocolParams = ProtocolParams()
+    pool: PoolParams = PoolParams()
+    seed: int = 0
+    record_events: bool = False
+
+    def __post_init__(self) -> None:
+        if self.duration_s <= 0:
+            raise InvalidParameterError("duration_s must be positive")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be non-negative")
+
+
+@dataclass(frozen=True)
 class Scenario:
     """A complete scenario: topology, traffic, protocol, pool, horizon, seed."""
 
@@ -779,75 +756,13 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        """Parse the scenario JSON object, naming the offending field on error."""
-        if not isinstance(d, dict):
-            raise ConfigError("scenario: expected a JSON object")
-        unknown = set(d) - {
-            "topology", "traffic", "protocol", "pool",
-            "duration_s", "seed", "record_events",
-        }
-        if unknown:
-            raise ConfigError(f"scenario: unknown field(s) {sorted(unknown)}")
-        if "topology" not in d:
-            raise ConfigError("scenario: missing required field 'topology'")
-        if "duration_s" not in d:
-            raise ConfigError("scenario: missing required field 'duration_s'")
-
-        def section(name, maker, known):
-            raw = d.get(name, {})
-            if not isinstance(raw, dict):
-                raise ConfigError(f"scenario: field {name!r} must be an object")
-            bad = set(raw) - known
-            if bad:
-                raise ConfigError(f"scenario: unknown field(s) in {name!r}: {sorted(bad)}")
-            try:
-                return maker(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"scenario: invalid {name!r}: {exc}") from exc
-
-        protocol = section(
-            "protocol",
-            lambda raw: ProtocolParams(**raw),
-            {"gamma", "key_bits"},
-        )
-        traffic = section(
-            "traffic",
-            lambda raw: TrafficModel(
-                **{**raw, "speed_range": tuple(raw.get("speed_range", (29.0, 31.0)))}
-            ),
-            {
-                "circuit_length", "arrival_rate_per_lane", "speed_range",
-                "initial_vehicles_per_lane", "mean_dwell_s", "provision_keys",
-                "key_ttl_s",
-            },
-        )
-        pool = section(
-            "pool",
-            lambda raw: PoolParams(**raw),
-            {"capacity_bits", "initial_fill"},
-        )
+        """Parse the scenario JSON object, naming the offending path on error."""
+        spec = from_dict(_ScenarioSpec, d, "scenario")
         try:
-            topology = build_topology(d["topology"], gamma=protocol.gamma)
+            topology = build_topology(spec.topology, gamma=spec.protocol.gamma)
         except TopologyError as exc:
-            raise ConfigError(f"scenario: invalid 'topology': {exc}") from exc
-        duration = d["duration_s"]
-        if not isinstance(duration, (int, float)) or duration <= 0:
-            raise ConfigError("scenario: 'duration_s' must be a positive number")
-        seed = d.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("scenario: 'seed' must be a non-negative integer")
-        record_events = d.get("record_events", False)
-        if not isinstance(record_events, bool):
-            raise ConfigError("scenario: 'record_events' must be true or false")
-        return cls(
-            topology=topology,
-            traffic=traffic,
-            protocol=protocol,
-            pool=pool,
-            duration_s=float(duration),
-            seed=seed,
-            record_events=record_events,
-        )
+            raise ConfigError(f"scenario.{exc}") from exc
+        return cls(**{**vars(spec), "topology": topology})
 
     def run(self, seed=None, record_events=None, record_donations=False) -> NetworkMetrics:
         return run_scenario(

@@ -48,6 +48,12 @@ class TestLifetimeCommand:
         assert run_cli("lifetime", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_fractional_parallel_channels_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {"parallel_channels": 2.7})
+        assert run_cli("lifetime", "--config", cfg, "--out", str(tmp_path)) == 2
+        assert "config.parallel_channels: expected an integer, got 2.7" in capsys.readouterr().err
+        assert not (tmp_path / "lifetime.csv").exists()
+
     def test_car_count_pair(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"car_count": 500, "kljn_unit_count": 2})
         assert run_cli("lifetime", "--config", cfg, "--out", str(tmp_path)) == 0
@@ -73,6 +79,11 @@ class TestExchangeCommand:
         cfg = write_json(tmp_path / "c.json", {"tarjet_bits": 100})
         assert run_cli("exchange", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "tarjet_bits" in capsys.readouterr().err
+
+    def test_boolean_gamma_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {"gamma": True})
+        assert run_cli("exchange", "--config", cfg, "--out", str(tmp_path)) == 2
+        assert "config.gamma: expected a number, got True" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -179,6 +190,28 @@ class TestAttackCommand:
     def test_bad_injection_block_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "a.json", {"injection": {"relative_amplitudes": [-1]}})
         assert run_cli("attack", "--config", cfg, "--out", str(tmp_path)) == 2
+
+    def test_unknown_waveform_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "a.json", {"injection": {"waveform": "bogus"}})
+        assert run_cli("attack", "--config", cfg, "--out", str(tmp_path)) == 2
+        assert "injection.waveform" in capsys.readouterr().err
+
+    def test_waveform_reaches_injection_sweep(self, tmp_path, monkeypatch):
+        from kljnsim.adversary import Waveform
+
+        calls = []
+
+        def fake_sweep(*args, **kwargs):
+            calls.append((args, kwargs))
+            return []
+
+        monkeypatch.setattr("kljnsim.cli.injection_sweep", fake_sweep)
+        cfg = write_json(tmp_path / "a.json", {
+            "periods": 2, "injection": {"waveform": "gaussian"},
+        })
+        assert run_cli("attack", "--config", cfg, "--out", str(tmp_path)) == 0
+        ((args, kwargs),) = calls
+        assert Waveform.GAUSSIAN in (*args, *kwargs.values())
 
 
 class TestBerCommand:

@@ -100,6 +100,8 @@ class TestBuildTopology:
         ("rskps[0]", "pad_length_m", "two", "expected a number, got 'two'"),
         ("rskps[0]", "pad_position_m", None, "expected a number, got None"),
         ("rsds[0]", "parallel_channels", "many", "expected a number, got 'many'"),
+        ("rsds[0]", "parallel_channels", 2.7, "expected an integer, got 2.7"),
+        ("rskps[0]", "transfer_rate_bps", True, "expected a number, got True"),
     ])
     def test_bad_number_named_by_path(self, path, key, value, message):
         spec = one_rsd_spec()
@@ -110,15 +112,15 @@ class TestBuildTopology:
         assert str(info.value) == f"topology.{path}.{key}: {message}"
 
     @pytest.mark.parametrize("line, message", [
-        ({"theta": 2.0}, "theta must lie strictly between 0 and 1"),
-        ({"r_low": "10k"}, "not supported"),
-    ])
+        ({"theta": 2.0}, "topology.rsds[0].line: theta must lie strictly between 0 and 1"),
+        ({"r_low": "10k"}, "topology.rsds[0].line.r_low: expected a number, got '10k'"),
+    ], ids=["theta", "r_low"])
     def test_bad_line_value_named_by_path(self, line, message):
         spec = one_rsd_spec()
         spec["rsds"][0]["line"] = line
-        with pytest.raises(TopologyError, match=r"^topology\.rsds\[0\]\.line: ") as info:
+        with pytest.raises(TopologyError) as info:
             build_topology(spec)
-        assert message in str(info.value)
+        assert str(info.value) == message
 
     def test_unknown_topology_key_named(self):
         spec = one_rsd_spec()
@@ -336,12 +338,29 @@ class TestScenarioParsing:
         with pytest.raises(ConfigError, match="traffic"):
             Scenario.from_dict(spec)
 
-    @pytest.mark.parametrize("value", ["false", 0, 1, None])
-    def test_non_boolean_record_events_rejected(self, value):
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id="-".join([*path[1:], str(value)]))
+        for path in (("record_events",), ("traffic", "provision_keys"))
+        for value in ("false", 0, 1, None)
+    ])
+    def test_non_boolean_record_events_rejected(self, path, value):
         spec = small_scenario()
-        spec["record_events"] = value
-        with pytest.raises(ConfigError, match="record_events"):
+        *section, key = path
+        (spec[section[0]] if section else spec)[key] = value
+        with pytest.raises(ConfigError, match=".".join(path)):
             Scenario.from_dict(spec)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("traffic", "initial_vehicles_per_lane", 2.5, "expected an integer, got 2.5"),
+        ("protocol", "key_bits", 100.5, "expected an integer, got 100.5"),
+        ("protocol", "gamma", True, "expected a number, got True"),
+    ])
+    def test_bad_section_value_named_by_path(self, section, key, value, message):
+        spec = small_scenario()
+        spec[section][key] = value
+        with pytest.raises(ConfigError) as info:
+            Scenario.from_dict(spec)
+        assert str(info.value) == f"scenario.{section}.{key}: {message}"
 
     def test_boolean_record_events_kept(self):
         spec = small_scenario()
