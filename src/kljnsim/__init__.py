@@ -6,13 +6,15 @@ The package splits into five layers:
 * :mod:`kljnsim.physics`: band-limited Johnson-noise synthesis and the
   two-resistor wireline loop.
 * :mod:`kljnsim.protocol`: the bit-sharing protocol: resistor draws, level
-  classification, discard and inversion rules, endpoint-comparison alarm.
+  classification, discard and inversion rules, endpoint comparison of
+  attacked views (the unattacked exchange has no alarm path).
 * :mod:`kljnsim.adversary`: passive wiretap strategies and active current
   injection, with the leak-allowance policy.
 * :mod:`kljnsim.lifetime`: the rate chain from line physics to the key
   lifetime upper limit.
 * :mod:`kljnsim.vanet`: discrete-event simulation of pools, pads, and
-  vehicles receiving one-time-pad encrypted keys.
+  vehicles receiving one-time-pad encrypted keys; each pool fills at its
+  owner's line rate under the scenario's protocol gamma.
 
 All randomness flows through explicit seeds; identical inputs reproduce
 identical outputs bit for bit.
@@ -88,8 +90,6 @@ from .vanet import (
     Topology,
     TrafficModel,
     build_topology,
-    donation_window,
-    detection_time,
     make_homogeneous_scenario,
     run_scenario,
 )

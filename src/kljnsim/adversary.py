@@ -323,11 +323,11 @@ def injection_sweep(
     """
     if periods_per_amplitude < 1:
         raise InvalidParameterError("periods_per_amplitude must be positive")
+    if any(rel < 0 for rel in relative_amplitudes):
+        raise InvalidParameterError("relative amplitudes must be >= 0")
     root = as_seed_sequence(seed)
     out = []
     for rel in relative_amplitudes:
-        if rel < 0:
-            raise InvalidParameterError("relative amplitudes must be >= 0")
         choice_seed, noise_root, attack_root = root.spawn(1)[0].spawn(3)
         rng = np.random.default_rng(choice_seed)
         alarms = 0

@@ -1,6 +1,6 @@
 """Bit-sharing protocol: random resistor selection, level classification,
 discard rules, the bit-inversion convention, and the endpoint-comparison
-alarm.
+monitor.
 
 One bit-sharing period works like this: both parties draw a resistor
 uniformly, the loop runs for ``gamma`` correlation times, and both ends
@@ -9,6 +9,9 @@ permutations sit at the intermediate level; same-valued permutations are
 publicly recognizable and discarded. On a kept period each party reads the
 shared bit off its own resistor state, with one pre-agreed party inverting
 so the two key strings match.
+
+Both ends of an unattacked line see the same signals, so the exchange has no
+alarm path; ``monitor_endpoints`` compares views an injection made differ.
 """
 
 from __future__ import annotations
@@ -194,7 +197,6 @@ class BitPeriodRecord:
     kept: bool
     alice_bit: int | None
     bob_bit: int | None
-    alarm: bool
 
     @property
     def pair(self) -> PairClass:
@@ -243,7 +245,6 @@ class ExchangeStats:
 
     pair_counts: dict
     misclassified: int
-    alarms: int
     periods: int
     kept_bits: int
     elapsed_s: float
@@ -357,17 +358,13 @@ def _record(config, choices, msv_u: float, msv_i: float, classified: Level) -> B
         kept=kept,
         alice_bit=alice_bit,
         bob_bit=bob_bit,
-        alarm=False,
     )
 
 
 def run_bit_period(
     config: ExchangeConfig, choices: tuple[Resistor, Resistor], seed
 ) -> BitPeriodRecord:
-    """Run one full bit-sharing period on waveforms: synthesize, classify.
-
-    Both ends see the same ideal line, so the period never alarms.
-    """
+    """Run one full bit-sharing period on waveforms: synthesize, classify."""
     return measure_period(config, choices, synthesize_period(config, choices, seed))
 
 
@@ -560,7 +557,6 @@ def _stats(config: ExchangeConfig, choices: np.ndarray, level: np.ndarray) -> Ex
         pair_counts={p: int(c) for p, c in zip(PairClass, pairs)},
         # The true band of a period is LOW/MID/HIGH for 0/1/2 H resistors.
         misclassified=int(np.count_nonzero(level != choices.sum(axis=1))),
-        alarms=0,
         periods=periods,
         kept_bits=int(np.count_nonzero(level == _MID)),
         elapsed_s=periods * config.bit_period,

@@ -95,11 +95,10 @@ class Rsd:
 
 @dataclass(frozen=True)
 class Topology:
-    """Validated network layout with per-unit secure bit rates."""
+    """Validated network layout: RSDs, their RSKPs and which of them own pools."""
 
     rsds: tuple[Rsd, ...]
     kljn_endpoint: str = "rsd"
-    gamma: float = 100.0
 
     @property
     def all_rskps(self) -> tuple[Rskp, ...]:
@@ -108,19 +107,6 @@ class Topology:
     @property
     def lanes(self) -> tuple[str, ...]:
         return tuple(r.lane for r in self.all_rskps)
-
-    def secure_rate(self, rsd: Rsd, rskp: Rskp | None = None) -> float:
-        """Secure bit rate of the pool-owning unit (the RSD's line by
-        default, the RSKP's own line in 'rskp' endpoint mode)."""
-        if self.kljn_endpoint == "rskp":
-            if rskp is None or rskp.line is None:
-                raise TopologyError("rskp endpoint mode needs a line per RSKP")
-            return secure_bit_rate(
-                rskp.line.noise_bandwidth, self.gamma, rsd.parallel_channels
-            )
-        return secure_bit_rate(
-            rsd.line.noise_bandwidth, self.gamma, rsd.parallel_channels
-        )
 
 
 @dataclass(frozen=True)
@@ -132,7 +118,7 @@ class _TopologySpec:
     kljn_endpoint: str = "rsd"
 
 
-def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
+def build_topology(spec: dict) -> Topology:
     """Build and validate a topology from its JSON-shaped description.
 
     Expected shape::
@@ -175,7 +161,7 @@ def build_topology(spec: dict, gamma: float = 100.0) -> Topology:
         rskps_by_rsd[rskp.rsd_id].append(rskp)
 
     rsds = tuple(replace(rsd, rskps=tuple(rskps_by_rsd[rsd.id])) for rsd in parsed.rsds)
-    return Topology(rsds=rsds, kljn_endpoint=endpoint, gamma=float(gamma))
+    return Topology(rsds=rsds, kljn_endpoint=endpoint)
 
 
 @dataclass(frozen=True)
@@ -222,7 +208,8 @@ class TrafficModel:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Key-exchange parameters shared by all lines of a scenario."""
+    """Key-exchange parameters shared by all lines of a scenario: ``gamma``
+    sets every pool's fill rate."""
 
     gamma: float = 100.0
     key_bits: int = 100
@@ -252,35 +239,6 @@ class PoolParams:
         if cap < key_bits:
             raise InvalidParameterError("pool capacity must hold at least one key")
         return cap
-
-
-def donation_window(
-    speed: float, pad_length: float, key_bits: int, rate: float
-) -> bool:
-    """Can a full key be transferred while the vehicle is over the pad?
-
-    Feasible when ``pad_length / speed >= key_bits / rate``.
-    """
-    if speed <= 0:
-        raise InvalidParameterError("speed must be positive")
-    if pad_length < 0 or key_bits < 0:
-        raise InvalidParameterError("pad_length and key_bits must be >= 0")
-    if key_bits == 0:
-        return True
-    if rate <= 0:
-        return False
-    return pad_length / speed >= key_bits / rate
-
-
-def detection_time(pad_entry_s: float, detector_latency_s: float) -> float:
-    """When the lane detector reports a vehicle that entered the pad.
-
-    Detection is perfect (no misses); the report lags pad entry by the
-    detector latency.
-    """
-    if detector_latency_s < 0:
-        raise InvalidParameterError("detector latency must be >= 0")
-    return pad_entry_s + detector_latency_s
 
 
 def _key_source(seed: np.random.SeedSequence) -> random.Random:
@@ -317,12 +275,12 @@ class Vehicle:
 class KeyPool:
     """Bit stock of one pool-owning unit, consumed in whole-key quanta."""
 
-    unit_id: str
     rsd_id: str
     fill_rate: float
     capacity: int
     available: int
     generated: int
+    keys: random.Random
     pending: deque = field(default_factory=deque)
     depletion_episodes: int = 0
 
@@ -421,31 +379,22 @@ class _Engine:
         self.max_concurrent_total = 0
         self.concurrent_total = 0
 
-        # One pool per owning unit; refills add whole keys.
-        self.pools: dict[str, KeyPool] = {}
-        self.key_sources: dict[str, random.Random] = {}
+        # One pool per owning unit (each RSD, or each RSKP in rskp mode),
+        # filled at its line's secure bit rate; refills add whole keys.
         by_rskp = topology.kljn_endpoint == "rskp"
-        units: list[tuple[str, str, float]] = []
-        if by_rskp:
-            for rsd in topology.rsds:
-                for rskp in rsd.rskps:
-                    units.append((rskp.id, rsd.id, topology.secure_rate(rsd, rskp)))
-        else:
-            for rsd in topology.rsds:
-                units.append((rsd.id, rsd.id, topology.secure_rate(rsd)))
-        unit_seeds = keys_root.spawn(len(units)) if units else []
-        for (unit_id, rsd_id, rate), useed in zip(units, unit_seeds):
-            capacity = pool_params.capacity_for(key_bits)
-            initial = int(round(pool_params.initial_fill * capacity))
-            pool = self.pools[unit_id] = KeyPool(
-                unit_id=unit_id,
-                rsd_id=rsd_id,
-                fill_rate=rate,
-                capacity=capacity,
-                available=initial,
-                generated=initial,
+        owners = [(unit, rsd) for rsd in topology.rsds
+                  for unit in (rsd.rskps if by_rskp else (rsd,))]
+        capacity = pool_params.capacity_for(key_bits)
+        initial = int(round(pool_params.initial_fill * capacity))
+        self.pools: dict[str, KeyPool] = {}
+        for (unit, rsd), unit_seed in zip(owners, keys_root.spawn(len(owners))):
+            if unit.line is None:
+                raise TopologyError("rskp endpoint mode needs a line per RSKP")
+            rate = secure_bit_rate(unit.line.noise_bandwidth, protocol.gamma, rsd.parallel_channels)
+            pool = self.pools[unit.id] = KeyPool(
+                rsd_id=rsd.id, fill_rate=rate, capacity=capacity, available=initial,
+                generated=initial, keys=_key_source(unit_seed),
             )
-            self.key_sources[unit_id] = _key_source(useed)
             self._push(key_bits / rate, self._on_pool_refill, (pool,))
 
         # Each lane's pad, the pool it draws from and its RSD's counters.
@@ -571,7 +520,7 @@ class _Engine:
     def _start_donation(self, t: float, vehicle: Vehicle, rskp: Rskp, pool: KeyPool) -> None:
         key_bits = self.key_bits
         pool.available -= key_bits
-        new_key = self.key_sources[pool.unit_id].getrandbits(key_bits)
+        new_key = pool.keys.getrandbits(key_bits)
         if self.record_events:
             self._log(t, EventKind.DONATION_START, vehicle.id, rskp.rsd_id, rskp.lane)
         self._push(
@@ -711,11 +660,12 @@ def run_scenario(
 ) -> NetworkMetrics:
     """Run one deterministic scenario and aggregate its metrics.
 
-    ``topology`` may be a validated Topology or its JSON-shaped dict (built
-    with the protocol's gamma). Donation failures are metrics, not errors.
+    ``topology`` may be a validated Topology or its JSON-shaped dict. Each
+    pool fills at ``secure_bit_rate`` of its owner's line under
+    ``protocol.gamma``. Donation failures are metrics, not errors.
     """
     if isinstance(topology, dict):
-        topology = build_topology(topology, gamma=protocol.gamma)
+        topology = build_topology(topology)
     engine = _Engine(
         topology, traffic, duration_s, seed, protocol, pool,
         record_events, record_donations,
@@ -725,7 +675,7 @@ def run_scenario(
 
 @dataclass(frozen=True)
 class _ScenarioSpec:
-    """The scenario JSON object; its topology is built with the protocol's gamma."""
+    """The scenario JSON object, with its topology still JSON-shaped."""
 
     topology: dict
     duration_s: float
@@ -759,7 +709,7 @@ class Scenario:
         """Parse the scenario JSON object, naming the offending path on error."""
         spec = from_dict(_ScenarioSpec, d, "scenario")
         try:
-            topology = build_topology(spec.topology, gamma=spec.protocol.gamma)
+            topology = build_topology(spec.topology)
         except TopologyError as exc:
             raise ConfigError(f"scenario.{exc}") from exc
         return cls(**{**vars(spec), "topology": topology})

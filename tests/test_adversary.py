@@ -137,6 +137,18 @@ class TestApplyInjection:
 
 
 class TestDetectionBoundary:
+    def test_negative_amplitude_rejected_before_any_period(self, config, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return synthesize_period(*args)
+
+        monkeypatch.setattr("kljnsim.adversary.synthesize_period", counting)
+        with pytest.raises(InvalidParameterError, match="relative amplitudes"):
+            injection_sweep(config, [0.0, 1.0, -1.0], 5, 1)
+        assert calls == []
+
     def test_alarm_rate_steps_up_at_tolerance(self, config):
         # Relative amplitudes straddling the alarm tolerance (1e-9): below
         # stays silent, above always trips within the period.

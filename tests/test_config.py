@@ -1,6 +1,7 @@
 """Typed config parsing: from_dict, the accepted key sets, shipped configs."""
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -13,6 +14,7 @@ from kljnsim.config import _schema, from_dict
 from kljnsim.lifetime import LifetimeParams
 
 CONFIGS = sorted((Path(__file__).parents[1] / "demos" / "configs").glob("*.json"))
+README = Path(__file__).parents[1] / "README.md"
 
 
 class Colour(Enum):
@@ -152,3 +154,12 @@ def test_shipped_configs_found():
 def test_shipped_config_parses(path):
     scenario = Scenario.from_dict(json.loads(path.read_text()))
     assert scenario.topology.all_rskps
+
+
+def test_readme_config_examples_parse():
+    """The README's protocol and scenario examples are valid configs."""
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    protocol, scenario = (json.loads(block) for block in blocks)
+    for cls in (cli._ExchangeCommand, cli._AttackCommand, cli._BerCommand):
+        from_dict(cls, protocol, "config")
+    assert Scenario.from_dict(scenario).topology.all_rskps

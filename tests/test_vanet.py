@@ -1,6 +1,7 @@
 """Discrete-event vehicular network: topology, donation flow, metrics."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -16,9 +17,8 @@ from kljnsim import (
     TopologyError,
     TrafficModel,
     build_topology,
-    detection_time,
-    donation_window,
     make_homogeneous_scenario,
+    run_scenario,
 )
 from kljnsim.cli import _fmt, main as cli_main
 from kljnsim.vanet import EventKind
@@ -33,19 +33,25 @@ def one_rsd_spec(**rskp_overrides):
     return {"rsds": [{"id": "rsd-1", "line": {}}], "rskps": [rskp]}
 
 
+def generated_bits(topology, gamma=100.0):
+    """Bits all pools generate in 100 s with no traffic and a large pool."""
+    metrics = run_scenario(
+        topology, TrafficModel(), 100.0, 1,
+        protocol=ProtocolParams(gamma=gamma), pool=PoolParams(capacity_bits=10**6),
+    )
+    return sum(r.pool_generated for r in metrics.per_rsd.values())
+
+
 class TestBuildTopology:
     def test_secure_rate_from_worked_line(self):
-        topo = build_topology(one_rsd_spec(), gamma=100.0)
-        rsd = topo.rsds[0]
-        assert topo.secure_rate(rsd) == pytest.approx(100.0, rel=1e-12)
+        # The worked line gives 100 bit/s at gamma 100.
+        assert generated_bits(build_topology(one_rsd_spec())) == 10_000
 
     def test_no_rskps_is_valid(self):
-        topo = build_topology({"rsds": [{"id": "r", "line": {}}]}, gamma=100.0)
+        topo = build_topology({"rsds": [{"id": "r", "line": {}}]})
         assert topo.all_rskps == ()
 
     def test_no_rskps_means_no_donations(self):
-        from kljnsim import run_scenario
-
         topo = {"rsds": [{"id": "r1", "line": {}}]}
         metrics = run_scenario(
             topo, TrafficModel(initial_vehicles_per_lane=5), 100.0, 1
@@ -69,9 +75,21 @@ class TestBuildTopology:
         with pytest.raises(TopologyError, match="line config"):
             build_topology(spec)
         spec["rskps"][0]["line"] = {}
-        topo = build_topology(spec, gamma=100.0)
-        rsd = topo.rsds[0]
-        assert topo.secure_rate(rsd, rsd.rskps[0]) == pytest.approx(100.0, rel=1e-12)
+        assert generated_bits(build_topology(spec)) == 10_000
+
+    def test_hand_built_rskp_mode_without_line_rejected(self):
+        topo = dataclasses.replace(build_topology(one_rsd_spec()), kljn_endpoint="rskp")
+        with pytest.raises(TopologyError, match="line per RSKP"):
+            run_scenario(topo, TrafficModel(), 100.0, 1)
+
+    @pytest.mark.parametrize("endpoint", ["rsd", "rskp"])
+    def test_pools_fill_at_protocol_gamma(self, endpoint):
+        # The dict and the built topology fill at the protocol's one gamma:
+        # 100 bit/s at gamma 100 becomes 200 bit/s at gamma 50.
+        spec = one_rsd_spec(line={})
+        spec["kljn_endpoint"] = endpoint
+        assert generated_bits(spec, gamma=50.0) == 20_000
+        assert generated_bits(build_topology(spec), gamma=50.0) == 20_000
 
     def test_duplicate_ids_rejected(self):
         spec = one_rsd_spec()
@@ -122,41 +140,20 @@ class TestBuildTopology:
             build_topology(spec)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("detector_latency_s", -1.0, "detector latency must be >= 0"),
+        ("transfer_rate_bps", 0.0, "transfer rate must be positive"),
+    ], ids=["negative-latency", "zero-rate"])
+    def test_bad_rskp_value_named_by_path(self, key, value, message):
+        with pytest.raises(TopologyError) as info:
+            build_topology(one_rsd_spec(**{key: value}))
+        assert str(info.value) == f"topology.rskps[0]: {message}"
+
     def test_unknown_topology_key_named(self):
         spec = one_rsd_spec()
         spec["gamma"] = 100.0
         with pytest.raises(TopologyError, match=r"^topology: unknown field\(s\) \['gamma'\]$"):
             build_topology(spec)
-
-
-class TestDonationWindow:
-    def test_worked_numbers_feasible(self):
-        # 2 m pad at 30 m/s gives 66.7 ms; 100 bits at 1 Mb/s need 0.1 ms.
-        assert donation_window(30.0, 2.0, 100, 1e6)
-
-    def test_zero_rate_infeasible(self):
-        assert not donation_window(30.0, 2.0, 100, 0.0)
-
-    def test_huge_speed_infeasible(self):
-        assert not donation_window(1e12, 2.0, 100, 1e6)
-
-    def test_zero_speed_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            donation_window(0.0, 2.0, 100, 1e6)
-
-
-class TestDetection:
-    def test_zero_latency_fires_at_entry(self):
-        assert detection_time(12.5, 0.0) == 12.5
-
-    def test_latency_within_dwell_fires_inside_window(self):
-        entry, latency, dwell = 10.0, 0.050, 2.0 / 30.0
-        t = detection_time(entry, latency)
-        assert entry < t < entry + dwell
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            detection_time(0.0, -1.0)
 
 
 def small_scenario(**overrides):
@@ -244,6 +241,24 @@ class TestRunScenario:
         metrics = Scenario.from_dict(spec).run()
         assert metrics.donation_success == 0
         assert metrics.fail_no_former_key > 0
+
+    @pytest.mark.parametrize("speed, latency, all_fail", [
+        (30.0, 0.0, False),
+        # Detection 50 ms after pad entry still leaves part of the ~67 ms dwell.
+        (30.0, 0.05, False),
+        # 20 us over the pad cannot carry 100 bits at 1 Mb/s (100 us).
+        (1e5, 0.0, True),
+    ], ids=["no-latency", "latency-inside-dwell", "pad-too-short"])
+    def test_transfer_window(self, speed, latency, all_fail):
+        spec = small_scenario(duration_s=600.0)
+        spec["traffic"]["speed_range"] = [speed, speed]
+        spec["topology"]["rskps"][0]["detector_latency_s"] = latency
+        metrics = Scenario.from_dict(spec).run()
+        if all_fail:
+            assert metrics.fail_window_too_short == metrics.donation_attempts > 0
+        else:
+            assert metrics.fail_window_too_short == 0
+            assert metrics.donation_success > 0
 
     def test_window_too_short_when_latency_eats_dwell(self):
         spec = small_scenario()
