@@ -165,6 +165,43 @@ def small_scenario(**overrides):
     return base
 
 
+def _run_at(speed, latency):
+    spec = small_scenario(duration_s=600.0)
+    spec["traffic"]["speed_range"] = [speed, speed]
+    spec["topology"]["rskps"][0]["detector_latency_s"] = latency
+    return Scenario.from_dict(spec).run()
+
+
+class TestDonationWindow:
+    def test_worked_numbers_feasible(self):
+        # 2 m pad at 30 m/s gives 66.7 ms; 100 bits at 1 Mb/s need 0.1 ms, so
+        # a request may start up to 66.57 ms after pad entry and no later.
+        inside = _run_at(30.0, 0.066)
+        assert inside.fail_window_too_short == 0
+        assert inside.donation_success > 0
+        past = _run_at(30.0, 0.067)
+        assert past.fail_window_too_short == past.donation_attempts > 0
+
+
+class TestDetection:
+    def test_zero_latency_fires_at_entry(self):
+        from kljnsim.vanet import _Engine
+
+        s = Scenario.from_dict(small_scenario(duration_s=600.0))
+        engine = _Engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol,
+                         s.pool, record_events=True, record_donations=False)
+        metrics = engine.run()
+        pad = s.topology.all_rskps[0].pad_position
+        circuit = s.traffic.circuit_length
+        # Queued requests that expire fail later, away from the pad.
+        requests = [e for e in metrics.events
+                    if e.kind == EventKind.KEY_REQUEST and e.detail != "fail:pool-empty"]
+        assert requests
+        for e in requests:
+            offset = (engine.vehicles[e.vehicle_id].position_at(e.time, circuit) - pad) % circuit
+            assert min(offset, circuit - offset) < 1e-6
+
+
 class TestRunScenario:
     def test_zero_traffic_fills_pool_to_cap(self):
         spec = small_scenario()
@@ -250,10 +287,7 @@ class TestRunScenario:
         (1e5, 0.0, True),
     ], ids=["no-latency", "latency-inside-dwell", "pad-too-short"])
     def test_transfer_window(self, speed, latency, all_fail):
-        spec = small_scenario(duration_s=600.0)
-        spec["traffic"]["speed_range"] = [speed, speed]
-        spec["topology"]["rskps"][0]["detector_latency_s"] = latency
-        metrics = Scenario.from_dict(spec).run()
+        metrics = _run_at(speed, latency)
         if all_fail:
             assert metrics.fail_window_too_short == metrics.donation_attempts > 0
         else:
