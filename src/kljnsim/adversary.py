@@ -30,9 +30,10 @@ from .protocol import (
     BitFlag,
     ExchangeConfig,
     KeyMaterial,
-    Resistor,
+    _MID,
+    _Periods,
+    _classify,
     choose_resistors,
-    measure_period,
     monitor_endpoints,
     period_resistances,
     synthesize_period,
@@ -52,9 +53,9 @@ class Waveform(str, Enum):
 
 @dataclass(frozen=True)
 class EveObservation:
-    """What a passive wiretapper extracts from one secure-looking period."""
+    """What a passive wiretapper extracts from one secure-looking period.
+    ``passive_sweep`` reads it off the in-band Fourier bins."""
 
-    signals: LoopSignals
     msv_u: float
     msv_i: float
     cross_correlation: float
@@ -64,11 +65,24 @@ class EveObservation:
         u = signals.channel_voltage.samples
         i = signals.channel_current.samples
         return cls(
-            signals=signals,
             msv_u=float(np.mean(u * u)),
             msv_i=float(np.mean(i * i)),
             cross_correlation=float(np.mean(u * i)),
         )
+
+
+def _guesses_lh(strategy: GuessStrategy, msv_u, cross, line, rng):
+    """Whether ``strategy`` guesses LH, for one observation or arrays of them."""
+    if strategy is GuessStrategy.MSV_THRESHOLD:
+        if line is None:
+            raise InvalidParameterError("msv-threshold strategy needs the line config")
+        level, _ = theoretical_msv(line, PairClass.LH)
+        return msv_u > level
+    if strategy is GuessStrategy.CORRELATION_SIGN:
+        return cross > 0
+    if rng is None:
+        raise InvalidParameterError("random strategy needs an rng")
+    return rng.integers(0, 2, size=np.shape(cross)) == 1
 
 
 def passive_guess(
@@ -89,17 +103,10 @@ def passive_guess(
       positive. The cross-correlation has zero mean for both orientations.
     * ``random``: a coin flip from ``rng``.
     """
-    strategy = GuessStrategy(strategy)
-    if strategy is GuessStrategy.MSV_THRESHOLD:
-        if line is None:
-            raise InvalidParameterError("msv-threshold strategy needs the line config")
-        level, _ = theoretical_msv(line, PairClass.LH)
-        return PairClass.LH if observation.msv_u > level else PairClass.HL
-    if strategy is GuessStrategy.CORRELATION_SIGN:
-        return PairClass.LH if observation.cross_correlation > 0 else PairClass.HL
-    if rng is None:
-        raise InvalidParameterError("random strategy needs an rng")
-    return PairClass.LH if int(rng.integers(0, 2)) else PairClass.HL
+    lh = _guesses_lh(
+        GuessStrategy(strategy), observation.msv_u, observation.cross_correlation, line, rng
+    )
+    return PairClass.LH if lh else PairClass.HL
 
 
 @dataclass(frozen=True)
@@ -244,59 +251,64 @@ def passive_sweep(
 ) -> PassiveSweepResult:
     """Measure every passive strategy on balanced secure periods.
 
-    Generates equal numbers of LH and HL ground-truth periods, keeps only
-    those classified as secure, and scores each strategy's orientation
-    guesses against the truth. Also accumulates the per-period
-    voltage-current cross-correlation whose mean should be statistically
-    zero on the ideal line.
+    Attempts alternate LH and HL ground truth, skipping a full orientation,
+    until each has ``n_periods // 2`` periods classified as secure. Eve's
+    features come off the spectral engine on the waveform path's streams.
+    Each strategy is scored on the kept periods, and their voltage-current
+    cross-correlation, statistically zero on the ideal line, is averaged.
     """
     if n_periods < 2:
         raise InvalidParameterError("need at least 2 periods")
     strategies = [GuessStrategy(s) for s in (strategies or list(GuessStrategy))]
+    for i, strategy in enumerate(strategies):
+        if strategy in strategies[:i]:
+            raise InvalidParameterError(f"strategy {strategy.value!r} listed twice")
     per_orientation = n_periods // 2
-    root = as_seed_sequence(seed)
-    guess_seed, noise_root = root.spawn(2)
-    rng = np.random.default_rng(guess_seed)
-
-    correct = {s: 0 for s in strategies}
-    cross: list[float] = []
-    counts = {PairClass.LH: 0, PairClass.HL: 0}
-    choices_for = {
-        PairClass.LH: (Resistor.L, Resistor.H),
-        PairClass.HL: (Resistor.H, Resistor.L),
-    }
-    attempts = 0
-    max_attempts = 1000 + 4 * n_periods
-    orientation_cycle = (PairClass.LH, PairClass.HL)
-    while min(counts.values()) < per_orientation:
+    guess_seed, noise_root = as_seed_sequence(seed).spawn(2)
+    engine = _Periods(config, noise_root)
+    need = [per_orientation] * 2  # kept periods missing per orientation (0 = LH, 1 = HL)
+    kept = []  # (orientation, msv_u, cross) of the kept periods, by chunk
+    attempts, max_attempts = 0, 1000 + 4 * n_periods
+    while max(need) > 0:
         if attempts >= max_attempts:
             raise RuntimeError(
                 "could not collect enough secure-classified periods; "
                 "check thresholds against the line config"
             )
-        truth = orientation_cycle[attempts % 2]
-        attempts += 1
-        if counts[truth] >= per_orientation:
-            continue
-        signals = synthesize_period(config, choices_for[truth], noise_root.spawn(1)[0])
-        record = measure_period(config, choices_for[truth], signals)
-        if not record.kept:
-            continue
-        counts[truth] += 1
-        observation = EveObservation.from_signals(signals)
-        cross.append(observation.cross_correlation)
-        for strategy in strategies:
-            guess = passive_guess(observation, strategy, line=config.line, rng=rng)
-            correct[strategy] += guess is truth
+        # Attempt a tries orientation a % 2 unless that one is full. Run a
+        # window of attempts and cut it at the period that fills one.
+        window = np.arange(attempts, min(attempts + 2 * max(need) + 16, max_attempts))
+        slots = window[np.take(need, window % 2) > 0]
+        attempts, ran = int(window[-1]) + 1, 0
+        for choices, msv_u, msv_i, cross in engine.chunks(
+            np.column_stack([slots % 2, 1 - slots % 2])
+        ):
+            side, ok = choices[:, 0], _classify(config, msv_u, msv_i) == _MID
+            hits = [np.flatnonzero(ok & (side == s)) for s in (0, 1)]
+            fills = [h[n - 1] for h, n in zip(hits, need) if 0 < n <= len(h)]
+            end = min(fills, default=len(side) - 1) + 1
+            ok[end:] = False
+            kept.append((side[ok], msv_u[ok], cross[ok]))
+            need = [n - int(np.count_nonzero(kept[-1][0] == s)) for s, n in enumerate(need)]
+            ran += end
+            if fills:  # the periods after the cut run again as the next attempts
+                engine.done -= len(side) - end
+                attempts = int(slots[ran - 1]) + 1
+                break
 
+    side, msv_u, cross = (np.concatenate(col) for col in zip(*kept))
+    rng = np.random.default_rng(guess_seed)
+    correct = {
+        s: int(np.count_nonzero(_guesses_lh(s, msv_u, cross, config.line, rng) == (side == 0)))
+        for s in strategies
+    }
     total = 2 * per_orientation
-    cross_arr = np.asarray(cross)
     return PassiveSweepResult(
         periods=total,
         correct=correct,
         accuracy={s: c / total for s, c in correct.items()},
-        cross_corr_mean=float(cross_arr.mean()),
-        cross_corr_se=float(cross_arr.std(ddof=1) / math.sqrt(len(cross_arr))),
+        cross_corr_mean=float(cross.mean()),
+        cross_corr_se=float(cross.std(ddof=1) / math.sqrt(len(cross))),
     )
 
 

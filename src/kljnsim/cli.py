@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +80,17 @@ def _load_config(path: str | None) -> dict:
 class _ExchangeCommand(ExchangeConfig):
     """``exchange`` config: every ExchangeConfig key plus the key length."""
 
-    target_bits: int = 100
+    target_bits: int = field(default=100, metadata={"min": 0})
 
 
 @dataclass(frozen=True)
 class _Injection:
     """``attack``'s ``injection`` object: the alarm sweep."""
 
-    relative_amplitudes: tuple[float, ...] = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
-    periods_per_amplitude: int = 50
+    relative_amplitudes: tuple[float, ...] = field(
+        default=(0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0), metadata={"min": 0}
+    )
+    periods_per_amplitude: int = field(default=50, metadata={"min": 1})
     waveform: Waveform = Waveform.CONSTANT
 
 
@@ -96,7 +98,7 @@ class _Injection:
 class _AttackCommand(ExchangeConfig):
     """``attack`` config: every ExchangeConfig key plus both sweeps' sizes."""
 
-    periods: int = 2000
+    periods: int = field(default=2000, metadata={"min": 2})
     injection: _Injection = _Injection()
 
 
@@ -104,8 +106,8 @@ class _AttackCommand(ExchangeConfig):
 class _BerCommand(ExchangeConfig):
     """``ber`` config: every ExchangeConfig key plus the sweep."""
 
-    gamma_list: tuple[float, ...] = (10.0, 30.0, 100.0)
-    runs_per_gamma: int = 300
+    gamma_list: tuple[float, ...] = field(default=(10.0, 30.0, 100.0), metadata={"min": 1})
+    runs_per_gamma: int = field(default=300, metadata={"min": 100})
 
 
 def cmd_exchange(config: dict, seed, outdir: Path, suffix: str) -> None:

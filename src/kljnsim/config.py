@@ -4,7 +4,8 @@
 ``cls``. Every value is checked against its field's type hint, and every
 error names the offending path, e.g. ``scenario.traffic.provision_keys``.
 A field's JSON key is its name unless ``field(metadata={"key": ...})``
-renames it; a key of ``None`` keeps the field out of JSON.
+renames it; a key of ``None`` keeps the field out of JSON. A ``"min"`` in
+the metadata bounds a number, or each number of a list, from below.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def from_dict(cls, data, path: str):
     kwargs = {}
     for key, (f, hint) in schema.items():
         if key in data:
-            kwargs[f.name] = _value(hint, data[key], f"{path}.{key}")
+            kwargs[f.name] = _value(hint, data[key], f"{path}.{key}", f.metadata.get("min"))
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{path}: missing {key}")
     try:
@@ -56,14 +57,15 @@ def from_dict(cls, data, path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _value(hint, value, path: str):
-    """``value`` checked against the type ``hint`` (ints widen to float)."""
+def _value(hint, value, path: str, low=None):
+    """``value`` checked against the type ``hint`` (ints widen to float) and
+    the lower bound ``low``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (hint,) = (a for a in args if a is not type(None))
-        return _value(hint, value, path)
+        return _value(hint, value, path, low)
     if hint in (float, int):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -73,6 +75,8 @@ def _value(hint, value, path: str):
         # also catches integers too large for a float.
         if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(f"{path}: must be at least {low}, got {value!r}")
         return hint(value)
     if hint in _EXACT:
         if type(value) is not hint:
@@ -91,7 +95,9 @@ def _value(hint, value, path: str):
             args = (args[0],) * len(value)
         elif len(value) != len(args):
             raise ConfigError(f"{path}: expected a list of {len(args)} items, got {value!r}")
-        return tuple(_value(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+        return tuple(
+            _value(a, v, f"{path}[{i}]", low) for i, (a, v) in enumerate(zip(args, value))
+        )
     if dataclasses.is_dataclass(hint):
         return from_dict(hint, value, path)
     raise TypeError(f"{path}: unsupported field type {hint!r}")

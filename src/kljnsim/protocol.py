@@ -496,15 +496,14 @@ def _party_bits(config: ExchangeConfig, alice, bob):
 class _Periods:
     """The bit periods of one run, in order, on the waveform path's streams.
 
-    The choices come from one generator, and trace c (0 = Alice, 1 = Bob) of
-    period j from child (j, c) of the run's noise root. The two levels follow
-    from the m in-band Fourier bins (Parseval), so no sample array is built;
-    they agree with ``run_bit_period`` to rounding.
+    Trace c (0 = Alice, 1 = Bob) of period j comes from child (j, c) of the
+    run's noise root. The levels and Eve's cross-correlation follow from the
+    m in-band Fourier bins (Parseval), so no sample array is built; they
+    agree with the waveform path to rounding.
     """
 
-    def __init__(self, config: ExchangeConfig, seed):
-        choice_seed, self.noise_root = as_seed_sequence(seed).spawn(2)
-        self.choice_rng = np.random.default_rng(choice_seed)
+    def __init__(self, config: ExchangeConfig, noise_root: np.random.SeedSequence):
+        self.noise_root = noise_root
         self.bitgen = np.random.PCG64(0)
         self.normal = np.random.Generator(self.bitgen).standard_normal
         self.done = 0
@@ -516,38 +515,39 @@ class _Periods:
         s = [johnson_rms(x, line.t_eff, bw) * n / (2.0 * math.sqrt(self.m)) for x in r]
         # By bin, solve_loop gives V = (A r_b + B r_a) / (r_a + r_b) and
         # I = (A - B) / (r_a + r_b). Row 2a + b turns the Gram sums (A.A,
-        # A.B, B.B) of the two sources' bins into msv_u = 2/n^2 sum |V|^2
-        # and msv_i = 2/n^2 sum |I|^2 when the resistor bits are a and b.
-        self.weights = np.empty((4, 2, 3))
+        # A.B, B.B) of the two sources' bins into msv_u = 2/n^2 sum |V|^2,
+        # msv_i = 2/n^2 sum |I|^2 and mean(u i) = 2/n^2 sum Re(V I*) when the
+        # resistor bits are a and b.
+        self.weights = np.empty((4, 3, 3))
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
             v_a, v_b = s[a] * r[b], s[b] * r[a]
-            self.weights[2 * a + b] = np.array(
-                [[v_a * v_a, 2 * v_a * v_b, v_b * v_b], [s[a] ** 2, -2 * s[a] * s[b], s[b] ** 2]]
-            ) * (2.0 / (n * (r[a] + r[b])) ** 2)
+            self.weights[2 * a + b] = np.array([
+                [v_a * v_a, 2 * v_a * v_b, v_b * v_b],
+                [s[a] ** 2, -2 * s[a] * s[b], s[b] ** 2],
+                [v_a * s[a], v_b * s[a] - v_a * s[b], -v_b * s[b]],
+            ]) * (2.0 / (n * (r[a] + r[b])) ** 2)
 
-    def chunks(self, count: int):
-        """Yield choices (resistor bits, k x 2), ``msv_u`` and ``msv_i`` for
-        the next ``count`` periods, ``_CHUNK`` periods at a time."""
-        end = self.done + count
+    def chunks(self, choices: np.ndarray):
+        """Yield each ``_CHUNK`` of the next periods' resistor bits (k x 2)
+        with its ``msv_u``, ``msv_i`` and cross-correlation. ``done`` counts
+        the periods yielded; setting it back reruns their noise."""
         z = np.empty((_CHUNK, 2, 2 * self.m))
-        while self.done < end:
-            size = min(_BATCH, end - self.done)
-            choices = self.choice_rng.integers(0, 2, size=(size, 2))
-            period = np.arange(self.done, self.done + size, dtype=np.uint32)
-            tails = (np.repeat(period, 2), np.tile(np.uint32([0, 1]), size))
+        for first in range(0, len(choices), _BATCH):
+            batch = choices[first:first + _BATCH]
+            period = np.arange(self.done, self.done + len(batch), dtype=np.uint32)
+            tails = (np.repeat(period, 2), np.tile(np.uint32([0, 1]), len(batch)))
             states = _child_states(self.noise_root, tails).tolist()
-            self.done += size
-            for start in range(0, size, _CHUNK):
-                block = z[:min(_CHUNK, size - start)]
+            for start in range(0, len(batch), _CHUNK):
+                block = z[:min(_CHUNK, len(batch) - start)]
                 for row, words in zip(block.reshape(-1, 2 * self.m), states[2 * start:]):
                     self.bitgen.state = _pcg64_state(words)
                     self.normal(out=row)
-                part = choices[start:start + len(block)]
+                part = batch[start:start + len(block)]
                 gram = block @ block.transpose(0, 2, 1)
                 sums = np.stack([gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]], axis=-1)
                 weights = self.weights[2 * part[:, 0] + part[:, 1]]
-                msv_u, msv_i = np.einsum("kcj,kj->ck", weights, sums)
-                yield part, msv_u, msv_i
+                self.done += len(part)
+                yield part, *np.einsum("kcj,kj->ck", weights, sums)
 
 
 def _stats(config: ExchangeConfig, choices: np.ndarray, level: np.ndarray) -> ExchangeStats:
@@ -569,9 +569,11 @@ def run_periods(
     """Run a fixed number of bit-sharing periods (no key assembly)."""
     if n_periods < 0:
         raise InvalidParameterError("n_periods must be non-negative")
+    choice_seed, noise_root = as_seed_sequence(seed).spawn(2)
+    drawn = np.random.default_rng(choice_seed).integers(0, 2, size=(n_periods, 2))
     records = []
     parts = [(np.empty((0, 2), np.int64), np.empty(0, np.int8))]
-    for choices, msv_u, msv_i in _Periods(config, seed).chunks(n_periods):
+    for choices, msv_u, msv_i, _ in _Periods(config, noise_root).chunks(drawn):
         level = _classify(config, msv_u, msv_i)
         parts.append((choices, level))
         records += [
@@ -593,7 +595,9 @@ def run_key_exchange(
     """
     if target_bits < 0:
         raise InvalidParameterError("target_bits must be non-negative")
-    engine = _Periods(config, seed)
+    choice_seed, noise_root = as_seed_sequence(seed).spawn(2)
+    rng = np.random.default_rng(choice_seed)
+    engine = _Periods(config, noise_root)
     cap = int(math.ceil(config.timeout_factor * 2 * target_bits))
     parts = [(np.empty((0, 2), np.int64), np.empty(0, np.int8))]
     missing = target_bits
@@ -604,7 +608,8 @@ def run_key_exchange(
             )
         # A period is kept half the time: ask for a little over twice the
         # missing bits, and stop at the period that completes the key.
-        for choices, msv_u, msv_i in engine.chunks(min(2 * missing + 16, cap - engine.done)):
+        count = min(2 * missing + 16, cap - engine.done)
+        for choices, msv_u, msv_i, _ in engine.chunks(rng.integers(0, 2, size=(count, 2))):
             level = _classify(config, msv_u, msv_i)
             kept = np.flatnonzero(level == _MID)
             if len(kept) >= missing:
@@ -649,7 +654,9 @@ def estimate_ber(
     for gamma in gamma_list:
         cfg = replace(config, gamma=float(gamma))
         errors = 0
-        for choices, msv_u, msv_i in _Periods(cfg, root.spawn(1)[0]).chunks(runs_per_gamma):
+        choice_seed, noise_root = root.spawn(1)[0].spawn(2)
+        drawn = np.random.default_rng(choice_seed).integers(0, 2, size=(runs_per_gamma, 2))
+        for choices, msv_u, msv_i, _ in _Periods(cfg, noise_root).chunks(drawn):
             level = _classify(cfg, msv_u, msv_i)
             errors += int(np.count_nonzero(level != choices.sum(axis=1)))
         out.append(BerEstimate(float(gamma), runs_per_gamma, errors, errors / runs_per_gamma))

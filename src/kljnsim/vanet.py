@@ -100,6 +100,12 @@ class Topology:
     rsds: tuple[Rsd, ...]
     kljn_endpoint: str = "rsd"
 
+    def __post_init__(self) -> None:
+        if self.kljn_endpoint not in ("rsd", "rskp"):
+            raise TopologyError(
+                f"topology.kljn_endpoint: expected 'rsd' or 'rskp', got {self.kljn_endpoint!r}"
+            )
+
     @property
     def all_rskps(self) -> tuple[Rskp, ...]:
         return tuple(r for rsd in self.rsds for r in rsd.rskps)
@@ -135,8 +141,6 @@ def build_topology(spec: dict) -> Topology:
     except ConfigError as exc:
         raise TopologyError(str(exc)) from None
     endpoint = parsed.kljn_endpoint
-    if endpoint not in ("rsd", "rskp"):
-        raise TopologyError(f"topology.kljn_endpoint: expected 'rsd' or 'rskp', got {endpoint!r}")
     if not parsed.rsds:
         raise TopologyError("topology: needs at least one RSD")
 

@@ -60,6 +60,13 @@ class TestPassiveGuess:
         result = passive_sweep(config, 2000, 424242)
         assert abs(result.cross_corr_mean) <= 3 * result.cross_corr_se
 
+    def test_duplicate_strategy_rejected(self, config):
+        # Each copy used to draw and count into one tally: random read 1.05.
+        with pytest.raises(InvalidParameterError, match="'random'"):
+            passive_sweep(config, 200, 5, strategies=["random", "random", "correlation-sign"])
+        with pytest.raises(InvalidParameterError, match="'msv-threshold'"):
+            passive_sweep(config, 200, 5, strategies=["msv-threshold", GuessStrategy.MSV_THRESHOLD])
+
     def test_random_strategy_needs_rng(self, secure_signals):
         obs = EveObservation.from_signals(secure_signals)
         with pytest.raises(InvalidParameterError):

@@ -234,6 +234,43 @@ class TestBerCommand:
         assert run_cli("ber", "--config", cfg, "--out", str(tmp_path)) == 2
 
 
+class TestRangeErrors:
+    @pytest.mark.parametrize("command, payload, named", [
+        pytest.param(command, payload, named, id=named)
+        for command, payload, named in [
+            ("exchange", {"target_bits": -3}, "config.target_bits"),
+            ("ber", {"gamma_list": [0.5]}, "config.gamma_list[0]"),
+            ("ber", {"gamma_list": [30, 0.5]}, "config.gamma_list[1]"),
+            ("ber", {"runs_per_gamma": 5}, "config.runs_per_gamma"),
+            ("attack", {"periods": 1}, "config.periods"),
+            ("attack", {"injection": {"periods_per_amplitude": 0}},
+             "config.injection.periods_per_amplitude"),
+            ("attack", {"injection": {"relative_amplitudes": [0, 1, -1]}},
+             "config.injection.relative_amplitudes[2]"),
+        ]
+    ])
+    def test_named_before_any_period(self, tmp_path, capsys, monkeypatch, command, payload,
+                                     named):
+        from kljnsim.protocol import _Periods, synthesize_period
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return synthesize_period(*args)
+
+        def no_chunks(self, choices):
+            calls.append(choices)
+            raise AssertionError("a period ran")
+
+        monkeypatch.setattr("kljnsim.adversary.synthesize_period", counting)
+        monkeypatch.setattr(_Periods, "chunks", no_chunks)
+        cfg = write_json(tmp_path / "c.json", payload)
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path)) == 2
+        assert f"error: {named}: " in capsys.readouterr().err
+        assert calls == []
+
+
 class TestDeterminismAndExitCodes:
     @pytest.mark.parametrize("command", ["exchange", "lifetime", "attack", "ber"])
     def test_reruns_byte_identical(self, tmp_path, command):

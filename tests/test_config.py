@@ -92,6 +92,30 @@ class TestFromDict:
         assert str(info.value) == message
 
 
+@dataclass(frozen=True)
+class Bounded:
+    count: int = field(default=5, metadata={"min": 2})
+    ratios: tuple[float, ...] = field(default=(), metadata={"min": 0.5})
+    maybe: float | None = field(default=None, metadata={"min": 0})
+
+
+class TestMinimum:
+    def test_minimum_itself_accepted(self):
+        got = from_dict(Bounded, {"count": 2, "ratios": [0.5, 3], "maybe": 0}, "cfg")
+        assert got == Bounded(2, (0.5, 3.0), 0.0)
+        assert from_dict(Bounded, {"maybe": None}, "cfg") == Bounded()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"count": 1}, "cfg.count: must be at least 2, got 1"),
+        ({"ratios": [1, 0.25]}, "cfg.ratios[1]: must be at least 0.5, got 0.25"),
+        ({"maybe": -1}, "cfg.maybe: must be at least 0, got -1"),
+    ])
+    def test_below_minimum_names_path(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            from_dict(Bounded, data, "cfg")
+        assert str(info.value) == message
+
+
 # The keys each command and scenario section accepts. Deriving them from the
 # dataclasses must neither widen nor narrow any schema.
 EXCHANGE_KEYS = {

@@ -1,9 +1,10 @@
 """The batched bit-period engine against the waveform path it replaces.
 
-``run_periods``, ``run_key_exchange`` and ``estimate_ber`` read each
-period's levels off its in-band Fourier bins, on the same random streams as
-``run_bit_period``. The per-period loops they used to run are kept here as
-oracles: keys, flags, stats and error counts must match them exactly.
+``run_periods``, ``run_key_exchange``, ``estimate_ber`` and
+``passive_sweep`` read each period's levels (and Eve's cross-correlation)
+off its in-band Fourier bins, on the same random streams as the waveform
+path. The per-period loops they used to run are kept here as oracles: keys,
+flags, stats, error counts and guess counts must match them exactly.
 """
 
 import dataclasses
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from kljnsim import (
+    EveObservation,
     ExchangeConfig,
     ExchangeTimeoutError,
+    GuessStrategy,
     KljnLineConfig,
     PairClass,
     Party,
@@ -22,11 +25,13 @@ from kljnsim import (
     choose_resistors,
     classify_period,
     estimate_ber,
+    passive_guess,
     run_bit_period,
     run_key_exchange,
     run_periods,
     theoretical_msv,
 )
+from kljnsim.adversary import passive_sweep
 from kljnsim.physics import as_seed_sequence
 from kljnsim.protocol import (
     BitFlag,
@@ -37,6 +42,8 @@ from kljnsim.protocol import (
     _classify,
     _pcg64_state,
     expected_level,
+    measure_period,
+    synthesize_period,
 )
 
 # -- The per-period loops the engine replaced ---------------------------------
@@ -106,6 +113,59 @@ def oracle_ber(config, gamma_list, runs, seed):
     return out
 
 
+def oracle_passive_sweep(config, n_periods, seed, strategies=None):
+    """The per-period waveform loop ``passive_sweep`` replaced, with the
+    guess rules written out: (periods, correct, cross mean, cross SE)."""
+    strategies = [GuessStrategy(s) for s in (strategies or list(GuessStrategy))]
+    per_orientation = n_periods // 2
+    guess_seed, noise_root = as_seed_sequence(seed).spawn(2)
+    rng = np.random.default_rng(guess_seed)
+    level, _ = theoretical_msv(config.line, PairClass.LH)
+    correct = {s: 0 for s in strategies}
+    cross = []
+    counts = {PairClass.LH: 0, PairClass.HL: 0}
+    choices_for = {
+        PairClass.LH: (Resistor.L, Resistor.H),
+        PairClass.HL: (Resistor.H, Resistor.L),
+    }
+    attempts = 0
+    max_attempts = 1000 + 4 * n_periods
+    while min(counts.values()) < per_orientation:
+        if attempts >= max_attempts:
+            raise RuntimeError(
+                "could not collect enough secure-classified periods; "
+                "check thresholds against the line config"
+            )
+        truth = (PairClass.LH, PairClass.HL)[attempts % 2]
+        attempts += 1
+        if counts[truth] >= per_orientation:
+            continue
+        signals = synthesize_period(config, choices_for[truth], noise_root.spawn(1)[0])
+        if not measure_period(config, choices_for[truth], signals).kept:
+            continue
+        counts[truth] += 1
+        observation = EveObservation.from_signals(signals)
+        cross.append(observation.cross_correlation)
+        for strategy in strategies:
+            if strategy is GuessStrategy.MSV_THRESHOLD:
+                says_lh = observation.msv_u > level
+            elif strategy is GuessStrategy.CORRELATION_SIGN:
+                says_lh = observation.cross_correlation > 0
+            else:
+                says_lh = int(rng.integers(0, 2)) == 1
+            correct[strategy] += says_lh == (truth is PairClass.LH)
+    cross = np.asarray(cross)
+    return (2 * per_orientation, correct, float(cross.mean()),
+            float(cross.std(ddof=1) / math.sqrt(len(cross))))
+
+
+def streams(seed):
+    """A run's choice generator and noise root, split as the engine's
+    callers split them."""
+    choice_seed, noise_root = as_seed_sequence(seed).spawn(2)
+    return np.random.default_rng(choice_seed), noise_root
+
+
 def same_key(mine, theirs):
     for field in ("bits", "flags", "secure_periods"):
         a, b = getattr(mine, field), getattr(theirs, field)
@@ -168,18 +228,26 @@ def test_child_is_the_spawn_chain_of_the_waveform_path():
 @pytest.mark.parametrize("gamma", [1.0, 10.0, 100.0])
 def test_levels_match_waveform_path(gamma):
     config = ExchangeConfig(gamma=gamma)
-    engine = _Periods(config, 2026)
-    noise_root = engine.noise_root
-    choices, msv_u, msv_i = next(engine.chunks(24))
+    rng, noise_root = streams(2026)
+    choices = rng.integers(0, 2, size=(24, 2))
+    ((part, msv_u, msv_i, cross),) = _Periods(config, noise_root).chunks(choices)
+    assert np.array_equal(part, choices)
     seen = set()
     for j, (a, b) in enumerate(choices.tolist()):
         seed = np.random.SeedSequence(
             noise_root.entropy, spawn_key=noise_root.spawn_key + (j,)
         )
-        record = run_bit_period(config, (Resistor(a), Resistor(b)), seed)
+        pair = (Resistor(a), Resistor(b))
+        signals = synthesize_period(config, pair, seed)
+        record = measure_period(config, pair, signals)
+        eve = EveObservation.from_signals(signals)
         seen.add(record.pair)
         assert msv_u[j] == pytest.approx(record.msv_u, rel=1e-12, abs=0)
         assert msv_i[j] == pytest.approx(record.msv_i, rel=1e-12, abs=0)
+        # The cross-correlation has zero mean, so its error is measured
+        # against the scale of u*i rather than against itself.
+        scale = math.sqrt(eve.msv_u * eve.msv_i)
+        assert abs(cross[j] - eve.cross_correlation) <= 1e-12 * scale
     assert seen == set(PairClass)
 
 
@@ -273,8 +341,110 @@ def test_chunks_cover_batches_and_partial_chunks():
     # Periods split over several hash batches and odd-sized chunks draw the
     # same streams as one long run.
     config = ExchangeConfig(gamma=10.0)
-    whole = [np.concatenate(col) for col in zip(*_Periods(config, 5).chunks(2100))]
-    engine = _Periods(config, 5)
-    parts = [c for count in (1, 63, 1100, 936) for c in engine.chunks(count)]
+    rng, noise_root = streams(5)
+    choices = rng.integers(0, 2, size=(2100, 2))
+    whole = [np.concatenate(col) for col in zip(*_Periods(config, noise_root).chunks(choices))]
+    engine = _Periods(config, noise_root)
+    bounds = np.cumsum([0, 1, 63, 1100, 936])
+    parts = [c for lo, hi in zip(bounds, bounds[1:]) for c in engine.chunks(choices[lo:hi])]
     for mine, theirs in zip((np.concatenate(col) for col in zip(*parts)), whole):
         assert np.array_equal(mine, theirs)
+    assert engine.done == 2100
+
+
+def test_rewound_engine_reruns_later_periods():
+    # passive_sweep stops mid-chunk, sets ``done`` back and runs the later
+    # periods again on other resistors: their noise must not change.
+    config = ExchangeConfig(gamma=10.0)
+    rng, noise_root = streams(6)
+    first, second = rng.integers(0, 2, size=(100, 2)), rng.integers(0, 2, size=(90, 2))
+    engine = _Periods(config, noise_root)
+    next(engine.chunks(first))
+    assert engine.done == 64
+    engine.done = 40
+    mine = [np.concatenate(col) for col in zip(*engine.chunks(second))]
+    joined = np.concatenate([first[:40], second])
+    theirs = [np.concatenate(col)[40:] for col in zip(*_Periods(config, noise_root).chunks(joined))]
+    for a, b in zip(mine, theirs, strict=True):
+        assert np.array_equal(a, b)
+
+
+# -- Eve on the engine -----------------------------------------------------------
+
+PASSIVE_CONFIGS = {
+    "default": ExchangeConfig(),
+    "g10": ExchangeConfig(gamma=10.0),
+    "voltage-g30": ExchangeConfig(classify_on="voltage", gamma=30.0),
+    "current-g20-os4": ExchangeConfig(classify_on="current", gamma=20.0, oversample=4.0),
+}
+PASSIVE_SEEDS = (1, [7, 9], 31337, [2, 5, 8], 50_005)
+SUBSETS = (
+    None,
+    ["random"],
+    ["correlation-sign", "msv-threshold"],
+    ["random", "msv-threshold", "correlation-sign"],
+    ["msv-threshold"],
+)
+
+
+def _sweep_outcome(run, config, n_periods, seed, strategies):
+    try:
+        result = run(config, n_periods, seed, strategies)
+    except RuntimeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if not isinstance(result, tuple):
+        result = (result.periods, result.correct, result.cross_corr_mean, result.cross_corr_se)
+    return result
+
+
+def same_sweep(mine, theirs):
+    if isinstance(theirs, str):
+        assert mine == theirs
+        return
+    assert mine[:2] == theirs[:2]
+    assert all(type(c) is int for c in mine[1].values())
+    assert mine[2] == pytest.approx(theirs[2], rel=1e-12, abs=0)
+    assert mine[3] == pytest.approx(theirs[3], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", list(PASSIVE_CONFIGS))
+@pytest.mark.parametrize("n_periods", [2, 3, 41, 400])
+def test_passive_sweep_matches_period_loop(name, n_periods):
+    config = PASSIVE_CONFIGS[name]
+    for seed, strategies in zip(PASSIVE_SEEDS, SUBSETS):
+        mine = _sweep_outcome(passive_sweep, config, n_periods, seed, strategies)
+        theirs = _sweep_outcome(oracle_passive_sweep, config, n_periods, seed, strategies)
+        assert not isinstance(theirs, str)
+        same_sweep(mine, theirs)
+
+
+
+
+def test_passive_timeout_matches_period_loop():
+    # A sliver of a MID band keeps few periods. Under seed 2477 the second
+    # orientation fills on attempt 1012 exactly, so the cap of 3 periods
+    # (1000 + 4 * 3 attempts) just lets it finish and that of 2 periods
+    # (1008 attempts) stops it; the two runs share every stream. Seed 184
+    # fills on attempt 1009.
+    base = ExchangeConfig(classify_on="voltage", gamma=10.0)
+    u_lh, _ = theoretical_msv(base.line, PairClass.LH)
+    sliver = dataclasses.replace(base, voltage_thresholds=(u_lh * 0.998, u_lh * 1.002))
+    for seed, strategies in ((2477, None), (184, ["random", "correlation-sign"])):
+        finished = _sweep_outcome(passive_sweep, sliver, 3, seed, strategies)
+        capped = _sweep_outcome(passive_sweep, sliver, 2, seed, strategies)
+        same_sweep(finished, _sweep_outcome(oracle_passive_sweep, sliver, 3, seed, strategies))
+        same_sweep(capped, _sweep_outcome(oracle_passive_sweep, sliver, 2, seed, strategies))
+        assert isinstance(finished, tuple)
+        assert capped.startswith("RuntimeError: could not collect")
+
+
+def test_random_guess_is_one_draw_per_period():
+    # The sweep draws its coin flips as one array; passive_guess draws them
+    # one call at a time from the same generator.
+    observation = EveObservation(msv_u=1.0, msv_i=1.0, cross_correlation=0.0)
+    one_by_one = np.random.default_rng(3)
+    scalar = [passive_guess(observation, "random", rng=one_by_one) for _ in range(200)]
+    batched = np.random.default_rng(3)
+    array = batched.integers(0, 2, size=200)
+    assert [g is PairClass.LH for g in scalar] == (array == 1).tolist()
+    assert one_by_one.bit_generator.state == batched.bit_generator.state

@@ -21,7 +21,7 @@ from kljnsim import (
     run_scenario,
 )
 from kljnsim.cli import _fmt, main as cli_main
-from kljnsim.vanet import EventKind
+from kljnsim.vanet import EventKind, Topology
 
 
 def one_rsd_spec(**rskp_overrides):
@@ -81,6 +81,28 @@ class TestBuildTopology:
         topo = dataclasses.replace(build_topology(one_rsd_spec()), kljn_endpoint="rskp")
         with pytest.raises(TopologyError, match="line per RSKP"):
             run_scenario(topo, TrafficModel(), 100.0, 1)
+
+    def test_hand_built_bad_endpoint_rejected(self):
+        rsds = build_topology(one_rsd_spec()).rsds
+        with pytest.raises(TopologyError) as info:
+            Topology(rsds=rsds, kljn_endpoint="RSKP")
+        assert str(info.value) == (
+            "topology.kljn_endpoint: expected 'rsd' or 'rskp', got 'RSKP'"
+        )
+
+    def test_replaced_bad_endpoint_rejected(self):
+        topo = build_topology(one_rsd_spec())
+        with pytest.raises(TopologyError, match="kljn_endpoint"):
+            dataclasses.replace(topo, kljn_endpoint="RSKP")
+
+    def test_bad_endpoint_named_through_scenario(self):
+        spec = small_scenario()
+        spec["topology"]["kljn_endpoint"] = "RSKP"
+        with pytest.raises(ConfigError) as info:
+            Scenario.from_dict(spec)
+        assert str(info.value) == (
+            "scenario.topology.kljn_endpoint: expected 'rsd' or 'rskp', got 'RSKP'"
+        )
 
     @pytest.mark.parametrize("endpoint", ["rsd", "rskp"])
     def test_pools_fill_at_protocol_gamma(self, endpoint):
