@@ -142,6 +142,8 @@ def apply_injection(
     other, while the node voltage shifts by the injected current times the
     parallel resistance. Both ends see the same voltage, but their current
     readings now differ by exactly the injected waveform inside the window.
+    A Gaussian waveform is drawn from ``np.random.default_rng(seed)``, so a
+    Generator passed in advances.
     """
     if r_a <= 0 or r_b <= 0:
         raise InvalidParameterError("resistances must be positive")
@@ -160,7 +162,7 @@ def apply_injection(
     if attack.waveform is Waveform.CONSTANT:
         injected[attack.start:stop] = attack.amplitude
     else:
-        rng = np.random.default_rng(as_seed_sequence(seed))
+        rng = np.random.default_rng(seed)
         injected[attack.start:stop] = attack.amplitude * rng.standard_normal(width)
 
     alpha = r_b / (r_a + r_b)
@@ -253,7 +255,8 @@ def passive_sweep(
 
     Attempts alternate LH and HL ground truth, skipping a full orientation,
     until each has ``n_periods // 2`` periods classified as secure. Eve's
-    features come off the spectral engine on the waveform path's streams.
+    features come off the spectral engine; the r-th period run gets the
+    engine's r-th noise block.
     Each strategy is scored on the kept periods, and their voltage-current
     cross-correlation, statistically zero on the ideal line, is averaged.
     """
@@ -291,8 +294,8 @@ def passive_sweep(
             kept.append((side[ok], msv_u[ok], cross[ok]))
             need = [n - int(np.count_nonzero(kept[-1][0] == s)) for s, n in enumerate(need)]
             ran += end
-            if fills:  # the periods after the cut run again as the next attempts
-                engine.done -= len(side) - end
+            if fills:  # the periods after the cut hand their noise to the next attempts
+                engine.hand_back(len(side) - end)
                 attempts = int(slots[ran - 1]) + 1
                 break
 
@@ -340,19 +343,16 @@ def injection_sweep(
     root = as_seed_sequence(seed)
     out = []
     for rel in relative_amplitudes:
-        choice_seed, noise_root, attack_root = root.spawn(1)[0].spawn(3)
-        rng = np.random.default_rng(choice_seed)
+        rng, noise, attack_rng = map(np.random.default_rng, root.spawn(1)[0].spawn(3))
         alarms = 0
         for _ in range(periods_per_amplitude):
             choices = choose_resistors(rng)
-            signals = synthesize_period(config, choices, noise_root.spawn(1)[0])
+            signals = synthesize_period(config, choices, noise)
             r_a, r_b = period_resistances(config.line, choices)
             pair = PairClass(choices[0].name + choices[1].name)
             _, msv_i = theoretical_msv(config.line, pair)
             attack = InjectionAttack(rel * math.sqrt(msv_i), waveform)
-            alice_view, bob_view = apply_injection(
-                signals, r_a, r_b, attack, attack_root.spawn(1)[0]
-            )
+            alice_view, bob_view = apply_injection(signals, r_a, r_b, attack, attack_rng)
             alarms += monitor_endpoints(alice_view, bob_view, config.alarm_tolerance)
         out.append(
             InjectionSweepPoint(

@@ -227,7 +227,10 @@ def sample_bandlimited_gaussian(
     scaled analytically so the expected mean square of the trace equals
     ``rms**2`` (no per-trace renormalization).
 
-    Identical (seed, parameters) produce bit-identical traces.
+    ``seed`` goes through ``np.random.default_rng``, so it may be an int, a
+    sequence of ints, a SeedSequence, or a Generator. A Generator is drawn
+    from in place: m real then m imaginary standard normals. Identical
+    (seed, parameters) produce bit-identical traces.
     """
     if rms < 0:
         raise InvalidParameterError("rms must be non-negative")
@@ -248,7 +251,7 @@ def sample_bandlimited_gaussian(
     if rms == 0.0:
         return NoiseTrace(np.zeros(n), sample_rate, duration)
 
-    rng = np.random.default_rng(as_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     # E<x^2> = 4 m s^2 / n^2 for irfft of m bins with per-component std s.
     s = rms * n / (2.0 * math.sqrt(m))
     spectrum = np.zeros(n // 2 + 1, dtype=complex)

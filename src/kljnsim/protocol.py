@@ -313,23 +313,20 @@ def period_resistances(
 def synthesize_period(
     config: ExchangeConfig, choices: tuple[Resistor, Resistor], seed
 ) -> LoopSignals:
-    """Generate both source traces for one period and solve the loop."""
+    """Generate both source traces for one period and solve the loop.
+
+    Alice's trace and then Bob's are drawn from ``np.random.default_rng(seed)``,
+    so a Generator passed in advances by 4m normals, one period's block.
+    """
     r_a, r_b = period_resistances(config.line, choices)
     bw = config.line.noise_bandwidth
-    seed_a, seed_b = as_seed_sequence(seed).spawn(2)
-    u_a = sample_bandlimited_gaussian(
-        johnson_rms(r_a, config.line.t_eff, bw),
-        bw,
-        config.sample_rate,
-        config.bit_period,
-        seed_a,
-    )
-    u_b = sample_bandlimited_gaussian(
-        johnson_rms(r_b, config.line.t_eff, bw),
-        bw,
-        config.sample_rate,
-        config.bit_period,
-        seed_b,
+    rng = np.random.default_rng(seed)
+    u_a, u_b = (
+        sample_bandlimited_gaussian(
+            johnson_rms(r, config.line.t_eff, bw), bw, config.sample_rate,
+            config.bit_period, rng,
+        )
+        for r in (r_a, r_b)
     )
     return solve_loop(u_a, r_a, u_b, r_b)
 
@@ -395,82 +392,11 @@ def monitor_endpoints(
 
 # -- Batched engine ------------------------------------------------------------
 
-#: Periods whose seeds are hashed at once, and periods whose normals are
-#: held at once (the working set stays near 200 KB).
-_BATCH, _CHUNK = 1024, 64
-
-# Hash constants of numpy's SeedSequence and the multiplier of PCG64.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+#: Periods whose normals are held at once (the working set stays near 200 KB).
+_CHUNK = 64
 
 _LEVELS = (Level.LOW, Level.MID, Level.HIGH)
 _MID = 1
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix with its running constant, on Python ints or
-    uint32 arrays."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x, y):
-    result = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
-    return result ^ result >> 16
-
-
-def _words(value) -> list[int]:
-    """An int, or a nested sequence of ints, as SeedSequence's uint32 words
-    (each int little-endian, at least one word)."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        return [value >> shift & _M32 for shift in range(0, max(value.bit_length(), 1), 32)]
-    return [word for item in value for word in _words(item)]
-
-
-def _child_states(root: np.random.SeedSequence, tails) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of many children of ``root``, as rows.
-
-    Row r belongs to ``SeedSequence(root.entropy, spawn_key=root.spawn_key +
-    tuple(t[r] for t in tails), pool_size=root.pool_size)``, where each tail
-    is a uint32 array. This is numpy's mixing: the root's words are mixed
-    as Python ints, then the tails as arrays.
-    """
-    size = root.pool_size
-    # A child's spawn key is never empty, so its run entropy is zero-padded
-    # to the pool size.
-    run = _words(root.entropy)
-    words = run + [0] * (size - len(run)) + _words(root.spawn_key) + list(tails)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in words[:size]]
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[size:]:
-        for dst in range(size):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(pool[i % size]) for i in range(8)], axis=-1).astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
-
-
-def _pcg64_state(words) -> dict:
-    """The state of ``np.random.PCG64`` seeded with these four
-    ``generate_state`` words (Python ints): PCG's set-sequence seeding."""
-    s0, s1, i0, i1 = words
-    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
 
 
 def _classify(config: ExchangeConfig, msv_u: np.ndarray, msv_i: np.ndarray) -> np.ndarray:
@@ -494,18 +420,22 @@ def _party_bits(config: ExchangeConfig, alice, bob):
 
 
 class _Periods:
-    """The bit periods of one run, in order, on the waveform path's streams.
+    """The bit periods of one run, in order.
 
-    Trace c (0 = Alice, 1 = Bob) of period j comes from child (j, c) of the
-    run's noise root. The levels and Eve's cross-correlation follow from the
-    m in-band Fourier bins (Parseval), so no sample array is built; they
-    agree with the waveform path to rounding.
+    Period j gets the j-th block of 4m standard normals from
+    ``np.random.default_rng(noise_root)``: Alice's m real in-band bins, her
+    m imaginary ones, then the same for Bob. That is what
+    ``synthesize_period`` draws from the same generator, period after
+    period. The levels and Eve's cross-correlation follow from the bins
+    (Parseval), so no sample array is built; they agree with the waveform
+    path to rounding.
     """
 
-    def __init__(self, config: ExchangeConfig, noise_root: np.random.SeedSequence):
-        self.noise_root = noise_root
-        self.bitgen = np.random.PCG64(0)
-        self.normal = np.random.Generator(self.bitgen).standard_normal
+    def __init__(self, config: ExchangeConfig, noise_root):
+        self.normal = np.random.default_rng(noise_root).standard_normal
+        # Gram sums (A.A, A.B, B.B) of the chunk last yielded, and of the
+        # periods handed back, which are next in line.
+        self.sums = self.spare = np.empty((0, 3))
         self.done = 0
         line = config.line
         bw = line.noise_bandwidth
@@ -530,24 +460,25 @@ class _Periods:
     def chunks(self, choices: np.ndarray):
         """Yield each ``_CHUNK`` of the next periods' resistor bits (k x 2)
         with its ``msv_u``, ``msv_i`` and cross-correlation. ``done`` counts
-        the periods yielded; setting it back reruns their noise."""
+        the periods yielded and not handed back."""
         z = np.empty((_CHUNK, 2, 2 * self.m))
-        for first in range(0, len(choices), _BATCH):
-            batch = choices[first:first + _BATCH]
-            period = np.arange(self.done, self.done + len(batch), dtype=np.uint32)
-            tails = (np.repeat(period, 2), np.tile(np.uint32([0, 1]), len(batch)))
-            states = _child_states(self.noise_root, tails).tolist()
-            for start in range(0, len(batch), _CHUNK):
-                block = z[:min(_CHUNK, len(batch) - start)]
-                for row, words in zip(block.reshape(-1, 2 * self.m), states[2 * start:]):
-                    self.bitgen.state = _pcg64_state(words)
-                    self.normal(out=row)
-                part = batch[start:start + len(block)]
-                gram = block @ block.transpose(0, 2, 1)
-                sums = np.stack([gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]], axis=-1)
-                weights = self.weights[2 * part[:, 0] + part[:, 1]]
-                self.done += len(part)
-                yield part, *np.einsum("kcj,kj->ck", weights, sums)
+        for start in range(0, len(choices), _CHUNK):
+            part = choices[start:start + _CHUNK]
+            block = z[:max(len(part) - len(self.spare), 0)]
+            self.normal(out=block)
+            gram = block @ block.transpose(0, 2, 1)
+            fresh = np.stack([gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]], axis=-1)
+            self.sums = np.concatenate([self.spare[:len(part)], fresh])
+            self.spare = self.spare[len(part):]
+            weights = self.weights[2 * part[:, 0] + part[:, 1]]
+            self.done += len(part)
+            yield part, *np.einsum("kcj,kj->ck", weights, self.sums)
+
+    def hand_back(self, count: int) -> None:
+        """Give back the noise of the last ``count`` periods yielded: the
+        next periods run on it, in order, before any fresh draw."""
+        self.spare = np.concatenate([self.sums[len(self.sums) - count:], self.spare])
+        self.done -= count
 
 
 def _stats(config: ExchangeConfig, choices: np.ndarray, level: np.ndarray) -> ExchangeStats:
