@@ -5,9 +5,10 @@ The package splits into five layers:
 
 * :mod:`kljnsim.physics`: band-limited Johnson-noise synthesis and the
   two-resistor wireline loop.
-* :mod:`kljnsim.protocol`: the bit-sharing protocol: resistor draws, level
-  classification, discard and inversion rules, endpoint comparison of
-  attacked views (the unattacked exchange has no alarm path).
+* :mod:`kljnsim.protocol`: the bit-sharing protocol on one array engine:
+  resistor draws, level classification, discard and inversion rules, key
+  assembly, endpoint comparison of attacked views (the unattacked exchange
+  has no alarm path).
 * :mod:`kljnsim.adversary`: passive wiretap strategies and active current
   injection, with the leak-allowance policy.
 * :mod:`kljnsim.lifetime`: the rate chain from line physics to the key
@@ -51,12 +52,8 @@ from .protocol import (
     Level,
     Party,
     Resistor,
-    choose_resistors,
-    classify_level,
-    classify_period,
     estimate_ber,
     monitor_endpoints,
-    run_bit_period,
     run_key_exchange,
     run_periods,
 )
@@ -68,7 +65,6 @@ from .adversary import (
     Waveform,
     apply_injection,
     leak_report,
-    passive_guess,
 )
 from .lifetime import (
     LifetimeParams,

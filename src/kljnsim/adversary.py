@@ -12,6 +12,7 @@ disagree by exactly the injected amount.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,11 +31,12 @@ from .protocol import (
     BitFlag,
     ExchangeConfig,
     KeyMaterial,
+    Resistor,
     _MID,
     _Periods,
     _classify,
-    choose_resistors,
     monitor_endpoints,
+    pair_of,
     period_resistances,
     synthesize_period,
 )
@@ -71,42 +73,28 @@ class EveObservation:
         )
 
 
-def _guesses_lh(strategy: GuessStrategy, msv_u, cross, line, rng):
-    """Whether ``strategy`` guesses LH, for one observation or arrays of them."""
+def _guesses_lh(
+    strategy: GuessStrategy,
+    msv_u: np.ndarray,
+    cross: np.ndarray,
+    line: KljnLineConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Whether ``strategy`` guesses LH (rather than HL) on each secure period.
+
+    * ``msv-threshold``: LH when the measured mean-square voltage exceeds the
+      theoretical mixed level. Both orientations share the same level, so
+      this cannot beat coin flipping.
+    * ``correlation-sign``: LH when the voltage-current cross-correlation is
+      positive. The cross-correlation has zero mean for both orientations.
+    * ``random``: one coin flip from ``rng`` per period.
+    """
     if strategy is GuessStrategy.MSV_THRESHOLD:
-        if line is None:
-            raise InvalidParameterError("msv-threshold strategy needs the line config")
         level, _ = theoretical_msv(line, PairClass.LH)
         return msv_u > level
     if strategy is GuessStrategy.CORRELATION_SIGN:
         return cross > 0
-    if rng is None:
-        raise InvalidParameterError("random strategy needs an rng")
-    return rng.integers(0, 2, size=np.shape(cross)) == 1
-
-
-def passive_guess(
-    observation: EveObservation,
-    strategy,
-    *,
-    line: KljnLineConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> PairClass:
-    """Guess the orientation (LH or HL) of a secure period.
-
-    Strategies:
-
-    * ``msv-threshold``: LH when the measured mean-square voltage exceeds the
-      theoretical mixed level (requires ``line``). Both orientations share
-      the same level, so this cannot beat coin flipping.
-    * ``correlation-sign``: LH when the voltage-current cross-correlation is
-      positive. The cross-correlation has zero mean for both orientations.
-    * ``random``: a coin flip from ``rng``.
-    """
-    lh = _guesses_lh(
-        GuessStrategy(strategy), observation.msv_u, observation.cross_correlation, line, rng
-    )
-    return PairClass.LH if lh else PairClass.HL
+    return rng.integers(0, 2, size=cross.shape) == 1
 
 
 @dataclass(frozen=True)
@@ -119,8 +107,8 @@ class InjectionAttack:
     stop: int | None = None
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise InvalidParameterError("injection amplitude must be non-negative")
+        if not 0 <= self.amplitude < math.inf:
+            raise InvalidParameterError("injection amplitude must be finite and non-negative")
         if self.start < 0:
             raise InvalidParameterError("attack window start must be non-negative")
         if self.stop is not None and self.stop < self.start:
@@ -260,9 +248,13 @@ def passive_sweep(
     Each strategy is scored on the kept periods, and their voltage-current
     cross-correlation, statistically zero on the ideal line, is averaged.
     """
-    if n_periods < 2:
-        raise InvalidParameterError("need at least 2 periods")
-    strategies = [GuessStrategy(s) for s in (strategies or list(GuessStrategy))]
+    if not isinstance(n_periods, numbers.Integral) or n_periods < 2:
+        raise InvalidParameterError(f"n_periods must be an integer >= 2, got {n_periods!r}")
+    if strategies is None:
+        strategies = list(GuessStrategy)
+    strategies = [GuessStrategy(s) for s in strategies]
+    if not strategies:
+        raise InvalidParameterError("no strategy to score; None scores them all")
     for i, strategy in enumerate(strategies):
         if strategy in strategies[:i]:
             raise InvalidParameterError(f"strategy {strategy.value!r} listed twice")
@@ -338,20 +330,24 @@ def injection_sweep(
     """
     if periods_per_amplitude < 1:
         raise InvalidParameterError("periods_per_amplitude must be positive")
-    if any(rel < 0 for rel in relative_amplitudes):
-        raise InvalidParameterError("relative amplitudes must be >= 0")
+    if any(not 0 <= rel < math.inf for rel in relative_amplitudes):
+        raise InvalidParameterError("relative amplitudes must be finite and >= 0")
+    # Per choice pair, row 2a + b: the choices, both resistances and the
+    # theoretical RMS channel current the amplitudes are relative to.
+    table = []
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        choices = (Resistor(a), Resistor(b))
+        _, msv_i = theoretical_msv(config.line, pair_of(*choices))
+        table.append((choices, *period_resistances(config.line, choices), math.sqrt(msv_i)))
     root = as_seed_sequence(seed)
     out = []
     for rel in relative_amplitudes:
         rng, noise, attack_rng = map(np.random.default_rng, root.spawn(1)[0].spawn(3))
         alarms = 0
-        for _ in range(periods_per_amplitude):
-            choices = choose_resistors(rng)
+        for a, b in rng.integers(0, 2, size=(periods_per_amplitude, 2)).tolist():
+            choices, r_a, r_b, rms_i = table[2 * a + b]
             signals = synthesize_period(config, choices, noise)
-            r_a, r_b = period_resistances(config.line, choices)
-            pair = PairClass(choices[0].name + choices[1].name)
-            _, msv_i = theoretical_msv(config.line, pair)
-            attack = InjectionAttack(rel * math.sqrt(msv_i), waveform)
+            attack = InjectionAttack(rel * rms_i, waveform)
             alice_view, bob_view = apply_injection(signals, r_a, r_b, attack, attack_rng)
             alarms += monitor_endpoints(alice_view, bob_view, config.alarm_tolerance)
         out.append(

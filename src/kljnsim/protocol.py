@@ -1,6 +1,5 @@
-"""Bit-sharing protocol: random resistor selection, level classification,
-discard rules, the bit-inversion convention, and the endpoint-comparison
-monitor.
+"""Bit-sharing protocol: the period engine, level classification, discard
+rules, the bit-inversion convention, and the endpoint-comparison monitor.
 
 One bit-sharing period works like this: both parties draw a resistor
 uniformly, the loop runs for ``gamma`` correlation times, and both ends
@@ -9,6 +8,11 @@ permutations sit at the intermediate level; same-valued permutations are
 publicly recognizable and discarded. On a kept period each party reads the
 shared bit off its own resistor state, with one pre-agreed party inverting
 so the two key strings match.
+
+Every period path draws a run's resistor choices as one (k, 2) array of
+bits, reads both levels off ``_Periods`` and classifies them with
+``_classify``. ``synthesize_period`` builds one period's waveforms for the
+paths that need samples: current injection and the waveform checks.
 
 Both ends of an unattacked line see the same signals, so the exchange has no
 alarm path; ``monitor_endpoints`` compares views an injection made differ.
@@ -78,15 +82,6 @@ CLASSIFY_MODES = ("voltage", "current", "both")
 
 def pair_of(alice: Resistor, bob: Resistor) -> PairClass:
     return PairClass(alice.name + bob.name)
-
-
-def expected_level(pair: PairClass) -> Level:
-    """Ground-truth level band implied by a resistor permutation."""
-    if pair is PairClass.LL:
-        return Level.LOW
-    if pair is PairClass.HH:
-        return Level.HIGH
-    return Level.MID
 
 
 def _geometric_mean(a: float, b: float) -> float:
@@ -258,52 +253,6 @@ class ExchangeStats:
         return mixed / self.periods
 
 
-def choose_resistors(rng: np.random.Generator) -> tuple[Resistor, Resistor]:
-    """Both parties draw a resistor uniformly and independently."""
-    draws = rng.integers(0, 2, size=2)
-    return Resistor(int(draws[0])), Resistor(int(draws[1]))
-
-
-def classify_level(msv_u: float, thresholds: tuple[float, float]) -> Level:
-    """Classify a mean-square voltage into LOW/MID/HIGH bands.
-
-    A value exactly at a threshold belongs to the band below it.
-    """
-    if msv_u < 0:
-        raise InvalidParameterError("mean-square value must be non-negative")
-    lower, upper = thresholds
-    if msv_u <= lower:
-        return Level.LOW
-    if msv_u <= upper:
-        return Level.MID
-    return Level.HIGH
-
-
-def _classify_from_current(msv_i: float, thresholds: tuple[float, float]) -> Level:
-    # Same closed-below convention, applied on the current axis where the
-    # band order is reversed (HH has the lowest mean-square current).
-    return _FLIPPED[classify_level(msv_i, thresholds)]
-
-
-_FLIPPED = {Level.LOW: Level.HIGH, Level.MID: Level.MID, Level.HIGH: Level.LOW}
-
-
-def classify_period(config: ExchangeConfig, msv_u: float, msv_i: float) -> Level:
-    """Classify one period according to the configured channel(s).
-
-    In "both" mode the period is MID only if voltage and current agree on
-    MID; a lone non-MID vote wins, and on the (practically unreachable)
-    LOW-vs-HIGH conflict the voltage vote is taken.
-    """
-    if config.classify_on == "voltage":
-        return classify_level(msv_u, config.voltage_thresholds)
-    if config.classify_on == "current":
-        return _classify_from_current(msv_i, config.current_thresholds)
-    by_u = classify_level(msv_u, config.voltage_thresholds)
-    by_i = _classify_from_current(msv_i, config.current_thresholds)
-    return by_i if by_u is Level.MID else by_u
-
-
 def period_resistances(
     line: KljnLineConfig, choices: tuple[Resistor, Resistor]
 ) -> tuple[float, float]:
@@ -331,40 +280,6 @@ def synthesize_period(
     return solve_loop(u_a, r_a, u_b, r_b)
 
 
-def measure_period(
-    config: ExchangeConfig,
-    choices: tuple[Resistor, Resistor],
-    signals: LoopSignals,
-) -> BitPeriodRecord:
-    """Time-average the loop signals, classify, and derive the bits."""
-    msv_u = signals.channel_voltage.mean_square()
-    msv_i = signals.channel_current.mean_square()
-    return _record(config, choices, msv_u, msv_i, classify_period(config, msv_u, msv_i))
-
-
-def _record(config, choices, msv_u: float, msv_i: float, classified: Level) -> BitPeriodRecord:
-    alice, bob = choices
-    kept = classified is Level.MID
-    alice_bit, bob_bit = _party_bits(config, alice.bit, bob.bit) if kept else (None, None)
-    return BitPeriodRecord(
-        alice_choice=alice,
-        bob_choice=bob,
-        msv_u=msv_u,
-        msv_i=msv_i,
-        classified=classified,
-        kept=kept,
-        alice_bit=alice_bit,
-        bob_bit=bob_bit,
-    )
-
-
-def run_bit_period(
-    config: ExchangeConfig, choices: tuple[Resistor, Resistor], seed
-) -> BitPeriodRecord:
-    """Run one full bit-sharing period on waveforms: synthesize, classify."""
-    return measure_period(config, choices, synthesize_period(config, choices, seed))
-
-
 def monitor_endpoints(
     alice_view: LoopSignals, bob_view: LoopSignals, alarm_tolerance: float
 ) -> bool:
@@ -385,7 +300,8 @@ def monitor_endpoints(
         if worst == 0.0:
             continue
         scale = max(mine.rms(), theirs.rms())
-        if scale == 0.0 or worst / scale > alarm_tolerance:
+        # Fails closed: a NaN deviation (non-finite views) alarms.
+        if scale == 0.0 or not worst / scale <= alarm_tolerance:
             return True
     return False
 
@@ -400,7 +316,14 @@ _MID = 1
 
 
 def _classify(config: ExchangeConfig, msv_u: np.ndarray, msv_i: np.ndarray) -> np.ndarray:
-    """``classify_period`` on arrays, as indices into ``_LEVELS``."""
+    """Each period's LOW/MID/HIGH band, as indices into ``_LEVELS``.
+
+    A value exactly at a threshold belongs to the band below it; on the
+    current channel the band order is reversed (HH has the lowest
+    mean-square current). In "both" mode a period is MID only if voltage and
+    current agree on MID; a lone non-MID vote wins, and on the (practically
+    unreachable) LOW-vs-HIGH conflict the voltage vote is taken.
+    """
     v1, v2 = config.voltage_thresholds
     c1, c2 = config.current_thresholds
     by_u = (msv_u > v1).astype(np.int8) + (msv_u > v2)
@@ -413,7 +336,7 @@ def _classify(config: ExchangeConfig, msv_u: np.ndarray, msv_i: np.ndarray) -> n
 
 
 def _party_bits(config: ExchangeConfig, alice, bob):
-    """Both parties' key bits from their resistor bits (ints or arrays)."""
+    """Both parties' key bits from arrays of their resistor bits."""
     if config.inverting_party is Party.BOB:
         return alice, 1 - bob
     return 1 - alice, bob
@@ -507,11 +430,15 @@ def run_periods(
     for choices, msv_u, msv_i, _ in _Periods(config, noise_root).chunks(drawn):
         level = _classify(config, msv_u, msv_i)
         parts.append((choices, level))
-        records += [
-            _record(config, (Resistor(a), Resistor(b)), u, i, _LEVELS[lev])
-            for (a, b), u, i, lev in zip(choices.tolist(), msv_u.tolist(), msv_i.tolist(),
-                                         level.tolist())
-        ]
+        bits = np.column_stack(_party_bits(config, choices[:, 0], choices[:, 1]))
+        for (a, b), pair_bits, u, i, lev in zip(
+            choices.tolist(), bits.tolist(), msv_u.tolist(), msv_i.tolist(), level.tolist()
+        ):
+            kept = lev == _MID
+            records.append(BitPeriodRecord(
+                Resistor(a), Resistor(b), u, i, _LEVELS[lev], kept,
+                *(pair_bits if kept else (None, None)),
+            ))
     choices, level = (np.concatenate(col) for col in zip(*parts))
     return records, _stats(config, choices, level)
 

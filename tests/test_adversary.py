@@ -18,12 +18,13 @@ from kljnsim import (
     apply_injection,
     leak_report,
     monitor_endpoints,
-    passive_guess,
     run_key_exchange,
     theoretical_msv,
 )
 from kljnsim.adversary import injection_sweep, passive_sweep
 from kljnsim.protocol import BitFlag, period_resistances, synthesize_period
+import oracles
+from oracles import choose_resistors, passive_guess
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,17 @@ class TestPassiveGuess:
             passive_sweep(config, 200, 5, strategies=["random", "random", "correlation-sign"])
         with pytest.raises(InvalidParameterError, match="'msv-threshold'"):
             passive_sweep(config, 200, 5, strategies=["msv-threshold", GuessStrategy.MSV_THRESHOLD])
+
+    def test_empty_strategy_list_rejected(self, config):
+        # An empty list used to score all three strategies, like None.
+        with pytest.raises(InvalidParameterError, match="no strategy"):
+            passive_sweep(config, 200, 5, strategies=[])
+
+    @pytest.mark.parametrize("n_periods", [4.5, 200.0, "200", 1, -3])
+    def test_bad_period_count_rejected(self, config, n_periods):
+        # 4.5 used to die in a numpy cast with a TypeError.
+        with pytest.raises(InvalidParameterError, match="n_periods must be an integer >= 2"):
+            passive_sweep(config, n_periods, 5)
 
     def test_random_strategy_needs_rng(self, secure_signals):
         obs = EveObservation.from_signals(secure_signals)
@@ -142,6 +154,11 @@ class TestApplyInjection:
         with pytest.raises(InvalidParameterError):
             InjectionAttack(-1.0)
 
+    @pytest.mark.parametrize("amplitude", [math.inf, math.nan])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            InjectionAttack(amplitude)
+
 
 class TestDetectionBoundary:
     def test_negative_amplitude_rejected_before_any_period(self, config, monkeypatch):
@@ -152,9 +169,29 @@ class TestDetectionBoundary:
             return synthesize_period(*args)
 
         monkeypatch.setattr("kljnsim.adversary.synthesize_period", counting)
-        with pytest.raises(InvalidParameterError, match="relative amplitudes"):
-            injection_sweep(config, [0.0, 1.0, -1.0], 5, 1)
+        # An infinite or NaN amplitude used to run every period and report
+        # 0 alarms.
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameterError, match="relative amplitudes"):
+                injection_sweep(config, [0.0, 1.0, bad], 5, 1)
         assert calls == []
+
+    @pytest.mark.parametrize("waveform, factors", [
+        (Waveform.CONSTANT, (0.9, 1.0, 1.1)),
+        # A Gaussian waveform's largest sample is ~3.3 sigma, so its alarms
+        # turn on near 0.3x the tolerance.
+        (Waveform.GAUSSIAN, (0.27, 0.3, 0.33)),
+    ])
+    def test_injection_sweep_matches_period_loop(self, config, waveform, factors):
+        # Near the alarm edge some periods alarm and some do not, so the
+        # counts can tell the choice draws apart.
+        amplitudes = [f * config.alarm_tolerance for f in factors]
+        mixed = 0
+        for seed in (1, [3, 7], 2024):
+            points = injection_sweep(config, amplitudes, 20, seed, waveform)
+            assert points == oracles.injection_sweep(config, amplitudes, 20, seed, waveform)
+            mixed += sum(0 < p.alarms < p.periods for p in points)
+        assert mixed >= 3
 
     def test_alarm_rate_steps_up_at_tolerance(self, config):
         # Relative amplitudes straddling the alarm tolerance (1e-9): below
@@ -172,8 +209,6 @@ class TestDetectionBoundary:
     def test_persistent_injection_alarms_within_one_period(self, config):
         rng = np.random.default_rng(12)
         root = np.random.SeedSequence(13)
-        from kljnsim.protocol import choose_resistors
-
         for _ in range(20):
             choices = choose_resistors(rng)
             signals = synthesize_period(config, choices, root.spawn(1)[0])

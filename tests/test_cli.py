@@ -1,6 +1,7 @@
 """Command-line interface: subcommand outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -313,3 +314,30 @@ class TestDeterminismAndExitCodes:
         )
         assert result.returncode == 0
         assert (tmp_path / "lifetime.csv").exists()
+
+
+# sha256 of every CSV each subcommand writes at --seed 7 on its default
+# config. A change that keeps the noise streams must leave every byte as it is.
+PINNED_OUTPUTS = {
+    "exchange": {
+        "keys.csv": "3b11001886a83d23fded6bc73fe3384c05df0a933ba45beee9dec6e4ffb58686",
+        "exchange_stats.csv": "14288bfdc8c53d89ce0f2f214dac89d3a65196a8d8a6adf3dbdde912cac16ee2",
+    },
+    "attack": {
+        "passive_accuracy.csv": "6a944b5e23614813a07930f7210ba77a505e84d3ef74ab0d675e00da1b41f08b",
+        "alarm_sweep.csv": "e19c8175ee92ecea71b3bb2114765a240d85b65e7ff92b9723533b5cb06a02a2",
+    },
+    "ber": {
+        "ber.csv": "4a39c3bd3f110653c858103faf1774a6d97e85072a0827e0642653f5a8e24e54",
+    },
+    "lifetime": {
+        "lifetime.csv": "8272905e0cfffd3ecb77894fd6965dad880eb38fcd6dbb0d1641433ff960e1d8",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_OUTPUTS))
+def test_cli_outputs_pinned(command, tmp_path):
+    assert run_cli(command, "--seed", "7", "--out", str(tmp_path)) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == PINNED_OUTPUTS[command]

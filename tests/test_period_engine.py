@@ -6,8 +6,8 @@ off its in-band Fourier bins. Period j of a run takes the j-th block of
 normals from one ``default_rng(noise_root)``, which is what the waveform
 path draws when every period's ``synthesize_period`` gets that generator.
 The per-period loops the engine replaced are kept here as oracles on that
-one generator: keys, flags, stats, error counts and guess counts must match
-them exactly.
+one generator, built from the scalar period rules in ``oracles.py``: keys,
+flags, stats, error counts and guess counts must match them exactly.
 """
 
 import dataclasses
@@ -25,17 +25,13 @@ from kljnsim import (
     PairClass,
     Party,
     Resistor,
-    choose_resistors,
-    classify_period,
     estimate_ber,
-    passive_guess,
-    run_bit_period,
     run_key_exchange,
     run_periods,
     theoretical_msv,
 )
 from kljnsim import protocol
-from kljnsim.adversary import passive_sweep
+from kljnsim.adversary import _guesses_lh, passive_sweep
 from kljnsim.physics import as_seed_sequence
 from kljnsim.protocol import (
     BitFlag,
@@ -43,9 +39,15 @@ from kljnsim.protocol import (
     _LEVELS,
     _Periods,
     _classify,
+    synthesize_period,
+)
+from oracles import (
+    choose_resistors,
+    classify_period,
     expected_level,
     measure_period,
-    synthesize_period,
+    passive_guess,
+    run_bit_period,
 )
 
 # -- The per-period loops the engine replaced ---------------------------------
@@ -437,6 +439,23 @@ def test_random_guess_is_one_draw_per_period():
     one_by_one = np.random.default_rng(3)
     scalar = [passive_guess(observation, "random", rng=one_by_one) for _ in range(200)]
     batched = np.random.default_rng(3)
-    array = batched.integers(0, 2, size=200)
-    assert [g is PairClass.LH for g in scalar] == (array == 1).tolist()
+    array = _guesses_lh(GuessStrategy.RANDOM, np.ones(200), np.zeros(200), None, batched)
+    assert [g is PairClass.LH for g in scalar] == array.tolist()
     assert one_by_one.bit_generator.state == batched.bit_generator.state
+
+
+@pytest.mark.parametrize("strategy", ["msv-threshold", "correlation-sign"])
+def test_feature_guesses_match_passive_guess(strategy):
+    # Observations on both sides of each rule's cut, and exactly at it.
+    config = ExchangeConfig()
+    level, _ = theoretical_msv(config.line, PairClass.LH)
+    msv_u = np.array([level, np.nextafter(level, 0), np.nextafter(level, np.inf), 0.5 * level,
+                      2 * level, level, level])
+    cross = np.array([0.0, 1e-20, -1e-20, 0.3, -0.3, np.nextafter(0, 1), np.nextafter(0, -1)])
+    array = _guesses_lh(GuessStrategy(strategy), msv_u, cross, config.line, None)
+    scalar = [
+        passive_guess(EveObservation(u, 1.0, c), strategy, line=config.line) is PairClass.LH
+        for u, c in zip(msv_u, cross)
+    ]
+    assert array.tolist() == scalar
+    assert len(set(scalar)) == 2

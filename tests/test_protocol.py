@@ -16,23 +16,15 @@ from kljnsim import (
     PairClass,
     Party,
     Resistor,
-    choose_resistors,
-    classify_level,
     estimate_ber,
     monitor_endpoints,
-    run_bit_period,
     run_key_exchange,
     run_periods,
     theoretical_msv,
 )
 from kljnsim.physics import NoiseTrace
-from kljnsim.protocol import (
-    BitFlag,
-    classify_period,
-    expected_level,
-    pair_of,
-    synthesize_period,
-)
+from kljnsim.protocol import BitFlag, _LEVELS, _classify, synthesize_period
+from oracles import classify_level, expected_level
 
 
 @pytest.fixture(scope="module")
@@ -41,56 +33,85 @@ def config():
 
 
 class TestChooseResistors:
+    """Both parties' choices are one (k, 2) draw of fair, independent bits."""
+
     def test_all_permutations_near_quarter(self):
-        rng = np.random.default_rng(7)
-        counts = {p: 0 for p in PairClass}
         n = 10_000
-        for _ in range(n):
-            a, b = choose_resistors(rng)
-            counts[pair_of(a, b)] += 1
+        _, stats = run_periods(ExchangeConfig(gamma=1.0), n, 7)
         bound = 3 * math.sqrt(0.25 * 0.75 / n)
-        for pair, c in counts.items():
+        for pair, c in stats.pair_counts.items():
             assert abs(c / n - 0.25) <= bound, pair
 
     def test_secure_fraction_near_half(self):
-        rng = np.random.default_rng(8)
         n = 10_000
-        mixed = sum(
-            pair_of(*choose_resistors(rng)).secure for _ in range(n)
-        )
-        assert abs(mixed / n - 0.5) <= 3 * math.sqrt(0.25 / n)
+        _, stats = run_periods(ExchangeConfig(gamma=1.0), n, 8)
+        assert abs(stats.secure_fraction - 0.5) <= 3 * math.sqrt(0.25 / n)
 
     def test_fixed_seed_reproduces(self):
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        for _ in range(100):
-            assert choose_resistors(rng_a) == choose_resistors(rng_b)
+        config = ExchangeConfig(gamma=1.0)
+        first, _ = run_periods(config, 100, 3)
+        again, _ = run_periods(config, 100, 3)
+        assert [r.pair for r in first] == [r.pair for r in again]
+        assert len({r.pair for r in first}) == 4
+
+
+def levels(config, msv_u, msv_i):
+    """The engine's classification of each (msv_u, msv_i) pair."""
+    codes = _classify(config, np.asarray(msv_u, float), np.asarray(msv_i, float))
+    return [_LEVELS[c] for c in codes.tolist()]
 
 
 class TestClassifyLevel:
+    """The engine's classification rule, ``protocol._classify``."""
+
     def test_theoretical_levels_land_in_their_bands(self, config):
-        u_ll, _ = theoretical_msv(config.line, PairClass.LL)
-        u_lh, _ = theoretical_msv(config.line, PairClass.LH)
-        u_hh, _ = theoretical_msv(config.line, PairClass.HH)
-        thr = config.voltage_thresholds
-        assert classify_level(u_ll, thr) is Level.LOW
-        assert classify_level(u_lh, thr) is Level.MID
-        assert classify_level(u_hh, thr) is Level.HIGH
+        cfg = dataclasses.replace(config, classify_on="voltage")
+        u = [theoretical_msv(config.line, p)[0] for p in (PairClass.LL, PairClass.LH, PairClass.HH)]
+        assert levels(cfg, u, [0.0] * 3) == [Level.LOW, Level.MID, Level.HIGH]
 
     def test_exact_threshold_belongs_to_band_below(self, config):
+        # Closed below on both channels, one ulp either side of each threshold.
         lower, upper = config.voltage_thresholds
-        assert classify_level(lower, config.voltage_thresholds) is Level.LOW
-        assert classify_level(upper, config.voltage_thresholds) is Level.MID
+        cfg = dataclasses.replace(config, classify_on="voltage")
+        u = [np.nextafter(lower, 0), lower, np.nextafter(lower, np.inf),
+             np.nextafter(upper, 0), upper, np.nextafter(upper, np.inf)]
+        assert levels(cfg, u, [0.0] * 6) == [Level.LOW] * 2 + [Level.MID] * 3 + [Level.HIGH]
+        # On the current channel the bands are flipped: below c1 is HIGH.
+        lower, upper = config.current_thresholds
+        cfg = dataclasses.replace(config, classify_on="current")
+        i = [np.nextafter(lower, 0), lower, np.nextafter(lower, np.inf),
+             np.nextafter(upper, 0), upper, np.nextafter(upper, np.inf)]
+        assert levels(cfg, [0.0] * 6, i) == [Level.HIGH] * 2 + [Level.MID] * 3 + [Level.LOW]
 
     def test_negative_value_rejected(self, config):
+        # A guard of the scalar oracle; the engine reads levels off squares.
         with pytest.raises(InvalidParameterError):
             classify_level(-1.0, config.voltage_thresholds)
 
     def test_classify_period_modes_agree_on_clean_levels(self, config):
-        for pair in PairClass:
-            u, i = theoretical_msv(config.line, pair)
-            for mode in ("voltage", "current", "both"):
-                cfg = dataclasses.replace(config, classify_on=mode)
-                assert classify_period(cfg, u, i) is expected_level(pair)
+        for mode in ("voltage", "current", "both"):
+            cfg = dataclasses.replace(config, classify_on=mode)
+            u, i = zip(*(theoretical_msv(config.line, pair) for pair in PairClass))
+            assert levels(cfg, u, i) == [expected_level(pair) for pair in PairClass], mode
+
+    def test_both_mode_votes(self, config):
+        # MID only when both channels say MID; a lone non-MID vote wins; on
+        # LOW against HIGH the voltage vote is taken.
+        cfg = dataclasses.replace(config, classify_on="both")
+        by_level = {
+            expected_level(pair): theoretical_msv(config.line, pair)
+            for pair in (PairClass.LL, PairClass.LH, PairClass.HH)
+        }
+        low, mid, high = Level.LOW, Level.MID, Level.HIGH
+        table = {
+            (low, low): low, (low, mid): low, (low, high): low,
+            (mid, low): low, (mid, mid): mid, (mid, high): high,
+            (high, low): high, (high, mid): high, (high, high): high,
+        }
+        votes = list(table)
+        u = [by_level[by_u][0] for by_u, _ in votes]
+        i = [by_level[by_i][1] for _, by_i in votes]
+        assert levels(cfg, u, i) == list(table.values())
 
 
 class TestExchangeConfig:
@@ -126,40 +147,38 @@ class TestExchangeConfig:
 
 
 class TestRunBitPeriod:
+    """The per-period rules, on the periods ``run_periods`` reports."""
+
     def test_mixed_pair_correctly_classified_yields_matching_bits(self, config):
-        rec = run_bit_period(config, (Resistor.L, Resistor.H), 5)
-        assert rec.classified is Level.MID and rec.kept
+        records, _ = run_periods(config, 200, 5)
         # Bit convention: the shared bit equals the non-inverting party's state.
-        assert rec.alice_bit == Resistor.L.bit == 0
-        assert rec.bob_bit == 1 - Resistor.H.bit == 0
+        bits = {(r.pair, r.alice_bit, r.bob_bit) for r in records if r.kept}
+        assert bits == {(PairClass.LH, 0, 0), (PairClass.HL, 1, 1)}
+        assert Resistor.L.bit == 0 and Resistor.H.bit == 1
 
     def test_inverting_party_alice(self, config):
         cfg = dataclasses.replace(config, inverting_party=Party.ALICE)
-        rec = run_bit_period(cfg, (Resistor.L, Resistor.H), 5)
-        assert rec.kept
-        assert rec.alice_bit == 1 - Resistor.L.bit == 1
-        assert rec.bob_bit == Resistor.H.bit == 1
+        records, _ = run_periods(cfg, 200, 5)
+        bits = {(r.pair, r.alice_bit, r.bob_bit) for r in records if r.kept}
+        assert bits == {(PairClass.LH, 1, 1), (PairClass.HL, 0, 0)}
 
     def test_ll_period_discarded(self, config):
         # Monte Carlo during development: 1000/1000 seeded LL periods were
         # classified LOW at the default averaging ratio; gate at 99%.
-        root = np.random.SeedSequence(77)
-        low = kept = 0
-        for _ in range(300):
-            rec = run_bit_period(config, (Resistor.L, Resistor.L), root.spawn(1)[0])
-            low += rec.classified is Level.LOW
-            kept += rec.kept
-        assert low >= 297
-        assert kept == 300 - low
+        records, _ = run_periods(config, 1200, 77)
+        ll = [r for r in records if r.pair is PairClass.LL]
+        low = sum(r.classified is Level.LOW for r in ll)
+        assert len(ll) >= 250
+        assert low >= 0.99 * len(ll)
+        assert sum(r.kept for r in ll) == len(ll) - low
 
     def test_kept_iff_mid(self, config):
-        root = np.random.SeedSequence(13)
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            rec = run_bit_period(config, choose_resistors(rng), root.spawn(1)[0])
+        records, stats = run_periods(config, 50, 13)
+        for rec in records:
             assert rec.kept == (rec.classified is Level.MID)
             if not rec.kept:
                 assert rec.alice_bit is None and rec.bob_bit is None
+        assert 0 < stats.kept_bits < 50
 
     def test_mixed_orientations_share_statistics(self, config):
         # LH and HL give the same theoretical levels and indistinguishable
@@ -167,17 +186,14 @@ class TestRunBitPeriod:
         assert theoretical_msv(config.line, PairClass.LH) == theoretical_msv(
             config.line, PairClass.HL
         )
-        root = np.random.SeedSequence(99)
+        records, _ = run_periods(config, 1200, 99)
         means = {}
-        for name, choices in (("LH", (Resistor.L, Resistor.H)),
-                              ("HL", (Resistor.H, Resistor.L))):
-            vals = [
-                run_bit_period(config, choices, root.spawn(1)[0]).msv_u
-                for _ in range(300)
-            ]
-            means[name] = (np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals)))
-        gap = abs(means["LH"][0] - means["HL"][0])
-        se = math.hypot(means["LH"][1], means["HL"][1])
+        for pair in (PairClass.LH, PairClass.HL):
+            vals = [r.msv_u for r in records if r.pair is pair]
+            assert len(vals) >= 250
+            means[pair] = (np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        gap = abs(means[PairClass.LH][0] - means[PairClass.HL][0])
+        se = math.hypot(means[PairClass.LH][1], means[PairClass.HL][1])
         assert gap < 3 * se
 
 
@@ -310,6 +326,21 @@ class TestMonitorEndpoints:
             NoiseTrace(current, signals.sample_rate, signals.duration),
         )
         assert monitor_endpoints(signals, tampered, tol) is True
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_view_alarms(self, config, bad):
+        # The monitor fails closed: a NaN deviation used to read as no alarm.
+        from kljnsim import LoopSignals
+
+        signals = synthesize_period(config, (Resistor.L, Resistor.H), 10)
+        current = signals.channel_current.samples.copy()
+        current[17] = bad
+        tampered = LoopSignals(
+            signals.channel_voltage,
+            NoiseTrace(current, signals.sample_rate, signals.duration),
+        )
+        assert monitor_endpoints(signals, tampered, 1e-9) is True
+        assert monitor_endpoints(tampered, signals, 1e-9) is True
 
     def test_grid_mismatch_rejected(self, config):
         s1 = synthesize_period(config, (Resistor.L, Resistor.H), 10)
