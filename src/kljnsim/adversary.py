@@ -324,12 +324,19 @@ def injection_sweep(
 ) -> list[InjectionSweepPoint]:
     """Alarm rate versus injected current amplitude.
 
-    Each period gets a persistent (full-window) injection whose amplitude is
-    the given multiple of the period's theoretical RMS channel current; the
-    endpoint monitor then compares the two ends' views.
+    Each period gets a persistent (full-window) injection whose amplitude c
+    is the given multiple of the period's theoretical RMS channel current.
+    Both ends then see the same voltage and currents that differ by c. With
+    a constant c, ``monitor_endpoints`` alarms iff c > tol * hypot(sqrt(msv_i),
+    alpha * c), alpha = max(r_a, r_b) / (r_a + r_b), as the in-band current
+    has zero mean: that runs on the engine's ``msv_i`` row. Only a Gaussian
+    injection builds each period's waveforms. Amplitude 0 draws no noise.
     """
-    if periods_per_amplitude < 1:
-        raise InvalidParameterError("periods_per_amplitude must be positive")
+    if not isinstance(periods_per_amplitude, numbers.Integral) or periods_per_amplitude < 1:
+        raise InvalidParameterError(
+            f"periods_per_amplitude must be a positive integer, got {periods_per_amplitude!r}"
+        )
+    waveform, relative_amplitudes = Waveform(waveform), list(relative_amplitudes)
     if any(not 0 <= rel < math.inf for rel in relative_amplitudes):
         raise InvalidParameterError("relative amplitudes must be finite and >= 0")
     # Per choice pair, row 2a + b: the choices, both resistances and the
@@ -339,17 +346,28 @@ def injection_sweep(
         choices = (Resistor(a), Resistor(b))
         _, msv_i = theoretical_msv(config.line, pair_of(*choices))
         table.append((choices, *period_resistances(config.line, choices), math.sqrt(msv_i)))
+    r_a, r_b, rms_i = np.array([row[1:] for row in table]).T
+    alpha = np.maximum(r_a, r_b) / (r_a + r_b)
     root = as_seed_sequence(seed)
     out = []
     for rel in relative_amplitudes:
-        rng, noise, attack_rng = map(np.random.default_rng, root.spawn(1)[0].spawn(3))
+        choice_seed, noise, attack_seed = root.spawn(1)[0].spawn(3)
+        drawn = np.random.default_rng(choice_seed).integers(0, 2, size=(periods_per_amplitude, 2))
         alarms = 0
-        for a, b in rng.integers(0, 2, size=(periods_per_amplitude, 2)).tolist():
-            choices, r_a, r_b, rms_i = table[2 * a + b]
-            signals = synthesize_period(config, choices, noise)
-            attack = InjectionAttack(rel * rms_i, waveform)
-            alice_view, bob_view = apply_injection(signals, r_a, r_b, attack, attack_rng)
-            alarms += monitor_endpoints(alice_view, bob_view, config.alarm_tolerance)
+        if rel > 0 and waveform is Waveform.CONSTANT:
+            for choices, _, msv_i, _ in _Periods(config, noise).chunks(drawn):
+                row = 2 * choices[:, 0] + choices[:, 1]
+                c = rel * rms_i[row]
+                bound = config.alarm_tolerance * np.hypot(np.sqrt(msv_i), alpha[row] * c)
+                alarms += int(np.count_nonzero(c > bound))
+        elif rel > 0:
+            noise, attack_rng = np.random.default_rng(noise), np.random.default_rng(attack_seed)
+            for a, b in drawn.tolist():
+                choices, r_alice, r_bob, rms = table[2 * a + b]
+                signals = synthesize_period(config, choices, noise)
+                attack = InjectionAttack(rel * rms, waveform)
+                alice_view, bob_view = apply_injection(signals, r_alice, r_bob, attack, attack_rng)
+                alarms += monitor_endpoints(alice_view, bob_view, config.alarm_tolerance)
         out.append(
             InjectionSweepPoint(
                 float(rel), periods_per_amplitude, alarms, alarms / periods_per_amplitude

@@ -146,7 +146,12 @@ class NoiseTrace:
         return float(np.mean(self.samples * self.samples))
 
     def rms(self) -> float:
-        return math.sqrt(self.mean_square())
+        """Taken over the samples divided by their largest magnitude, so that
+        squaring cannot overflow; a non-finite trace gives inf or NaN."""
+        top = float(np.max(np.abs(self.samples)))
+        if not 0.0 < top < math.inf:
+            return top
+        return top * math.sqrt(float(np.mean(np.square(self.samples / top))))
 
     def same_grid(self, other: "NoiseTrace") -> bool:
         return (

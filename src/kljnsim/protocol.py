@@ -12,7 +12,7 @@ so the two key strings match.
 Every period path draws a run's resistor choices as one (k, 2) array of
 bits, reads both levels off ``_Periods`` and classifies them with
 ``_classify``. ``synthesize_period`` builds one period's waveforms for the
-paths that need samples: current injection and the waveform checks.
+paths that need samples: Gaussian current injection and the waveform checks.
 
 Both ends of an unattacked line see the same signals, so the exchange has no
 alarm path; ``monitor_endpoints`` compares views an injection made differ.

@@ -22,9 +22,11 @@ from kljnsim import (
     theoretical_msv,
 )
 from kljnsim.adversary import injection_sweep, passive_sweep
+from kljnsim.physics import in_band_bins, pair_resistances
 from kljnsim.protocol import BitFlag, period_resistances, synthesize_period
 import oracles
 from oracles import choose_resistors, passive_guess
+from test_error_law import gamma_cdf
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +219,79 @@ class TestDetectionBoundary:
             attack = InjectionAttack(10 * config.alarm_tolerance * math.sqrt(msv_i))
             alice, bob = apply_injection(signals, r_a, r_b, attack)
             assert monitor_endpoints(alice, bob, config.alarm_tolerance)
+
+    def test_engine_matches_period_loop_at_coarse_tolerance(self):
+        # At the default 1e-9 the alpha^2 term is 1e-18 of the alarm
+        # threshold; at 0.5 it moves which periods alarm.
+        config = ExchangeConfig(alarm_tolerance=0.5)
+        amplitudes = [f * config.alarm_tolerance for f in (0.9, 1.0, 1.1)]
+        mixed = 0
+        for seed in (1, [3, 7], 2024):
+            points = injection_sweep(config, amplitudes, 20, seed)
+            assert points == oracles.injection_sweep(config, amplitudes, 20, seed)
+            mixed += sum(0 < p.alarms < p.periods for p in points)
+        assert mixed >= 3
+
+    @pytest.mark.parametrize("waveform", list(Waveform))
+    def test_huge_injection_alarms(self, config, waveform):
+        # Squared, a 1e160 x RMS view used to overflow the monitor's scale to
+        # inf, which read any deviation as 0 and raised no alarm.
+        points = injection_sweep(config, [1e150, 1e160, 1e300], 5, 1, waveform)
+        assert [p.alarms for p in points] == [5, 5, 5]
+
+    def test_amplitudes_may_come_from_a_generator(self, config):
+        amplitudes = [0.0, 0.9e-9, 1.1e-9, 1e-6]
+        points = injection_sweep(config, iter(amplitudes), 20, 5)
+        assert points == injection_sweep(config, amplitudes, 20, 5)
+        assert [p.relative_amplitude for p in points] == amplitudes
+
+    @pytest.mark.parametrize("periods", [0, 2.5, "3"])
+    def test_bad_period_count_rejected(self, config, periods):
+        with pytest.raises(InvalidParameterError, match="periods_per_amplitude"):
+            injection_sweep(config, [1.0], periods, 1)
+
+    def test_bad_waveform_rejected_without_amplitudes(self, config):
+        with pytest.raises(ValueError, match="bogus"):
+            injection_sweep(config, [], 5, 1, "bogus")
+
+
+#: Periods per amplitude of the alarm-law check, and its two-sided critical
+#: value of the normal approximation to the binomial (about 6e-5 per check).
+LAW_PERIODS = 5_000
+Z_CRIT = 4.0
+
+
+def constant_alarm_probability(config: ExchangeConfig, rel: float, alpha) -> float:
+    """Exact alarm rate of a constant injection of ``rel`` x RMS current.
+
+    ``msv_i`` is its theoretical level times G/m with G ~ Gamma(m, 1), and
+    the monitor alarms iff c > tol * hypot(sqrt(msv_i), alpha * c). So
+    P(alarm) = P(G/m < rel^2 (1/tol^2 - alpha^2)), averaged over the four
+    equally likely resistor pairs; ``alpha(r_a, r_b)`` gives alpha.
+    """
+    _, m = in_band_bins(config.line.noise_bandwidth, config.sample_rate, config.bit_period)
+    tol = config.alarm_tolerance
+    return sum(
+        gamma_cdf(m, m * rel**2 * (1 / tol**2 - alpha(*pair_resistances(config.line, p)) ** 2))
+        for p in PairClass
+    ) / len(PairClass)
+
+
+class TestAlarmLaw:
+    @pytest.mark.parametrize("factor, seed", [(0.9, 1), (1.0, 2), (1.1, 3)])
+    def test_alarm_count_inside_binomial_bound_of_exact_law(self, factor, seed):
+        config = ExchangeConfig(alarm_tolerance=0.5)
+        rel = factor * config.alarm_tolerance
+        [point] = injection_sweep(config, [rel], LAW_PERIODS, [2006, seed])
+
+        def z(alpha):
+            p = constant_alarm_probability(config, rel, alpha)
+            return (point.alarms - LAW_PERIODS * p) / math.sqrt(LAW_PERIODS * p * (1 - p))
+
+        assert abs(z(lambda r_a, r_b: max(r_a, r_b) / (r_a + r_b))) <= Z_CRIT
+        # The check has the power to see a wrong alpha or a dropped c^2 alpha^2.
+        assert abs(z(lambda r_a, r_b: min(r_a, r_b) / (r_a + r_b))) > Z_CRIT
+        assert abs(z(lambda r_a, r_b: 0.0)) > Z_CRIT
 
 
 class TestLeakReport:
