@@ -9,15 +9,18 @@ A donation succeeds only if the pool holds a full key and the vehicle's
 remaining time over the pad covers the transfer.
 
 The event loop is strictly sequential and deterministic: events are
-processed in (time, sequence) order and every random draw flows from the
-scenario seed.
+processed in (time, sequence) order, ties included, and every random draw
+flows from the scenario seed. Pad crossings run in batches, one per shortest
+lap, merged with the heap of the other events in that same order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -29,6 +32,13 @@ from .config import from_dict
 from .errors import ConfigError, InvalidParameterError, TopologyError
 from .lifetime import secure_bit_rate
 from .physics import KljnLineConfig, as_seed_sequence
+
+
+def _require_finite(**fields) -> None:
+    """Reject NaN and ±inf, naming the field (``from_dict`` checks JSON)."""
+    for name, value in fields.items():
+        if value is not None and not np.isfinite(value).all():
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
 class EventKind(str, Enum):
@@ -67,6 +77,8 @@ class Rskp:
     line: KljnLineConfig | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(pad_length=self.pad_length, transfer_rate=self.transfer_rate,
+                        detector_latency=self.detector_latency, pad_position=self.pad_position)
         if not self.id or not self.lane:
             raise InvalidParameterError("an RSKP needs a non-empty id and lane")
         if self.pad_length <= 0:
@@ -195,6 +207,9 @@ class TrafficModel:
     key_ttl_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(circuit_length=self.circuit_length, speed_range=self.speed_range,
+                        arrival_rate_per_lane=self.arrival_rate_per_lane,
+                        mean_dwell_s=self.mean_dwell_s, key_ttl_s=self.key_ttl_s)
         if self.circuit_length <= 0:
             raise InvalidParameterError("circuit_length must be positive")
         if self.arrival_rate_per_lane < 0:
@@ -219,6 +234,7 @@ class ProtocolParams:
     key_bits: int = 100
 
     def __post_init__(self) -> None:
+        _require_finite(gamma=self.gamma)
         if self.gamma < 1:
             raise InvalidParameterError("gamma must be at least 1")
         if self.key_bits < 1:
@@ -346,7 +362,12 @@ class NetworkMetrics:
 
 class _Engine:
     """Heap entries are ``(time, sequence, handler, payload)``; the loop
-    calls ``handler(time, *payload)``."""
+    calls ``handler(time, *payload)``. Pad crossings skip the heap unless due
+    before ``window_end``: no vehicle laps faster than ``lap``, so ``run``
+    takes the waiting ``(time, sequence, vehicle, entry)`` crossings (one per
+    vehicle) a lap-long window at a time and merges them, sorted, with the
+    heap. Each keeps the sequence number a push would have given it, so the
+    order is a single heap's, ties included."""
 
     def __init__(
         self,
@@ -359,8 +380,10 @@ class _Engine:
         record_events: bool,
         record_donations: bool,
     ):
+        _require_finite(duration_s=duration_s)
         if duration_s <= 0:
             raise InvalidParameterError("duration_s must be positive")
+        self.lap = traffic.circuit_length / traffic.speed_range[1]
         self.traffic = traffic
         self.duration = float(duration_s)
         self.key_bits = key_bits = protocol.key_bits
@@ -373,6 +396,8 @@ class _Engine:
         self.provision_source = _key_source(provision_seed)
 
         self.heap: list = []
+        self.crossings: list = []
+        self.window_end = -math.inf
         self.seq = itertools.count()
         self.vehicles: list[Vehicle] = []
         self.events: list[ScenarioEvent] = []
@@ -426,6 +451,15 @@ class _Engine:
         if time <= self.duration or force:
             heapq.heappush(self.heap, (time, next(self.seq), handler, payload))
 
+    def _cross(self, time: float, vehicle: Vehicle, entry: float) -> None:
+        """Schedule a pad crossing, numbered where ``_push`` would number it."""
+        if time <= self.duration:
+            seq = next(self.seq)
+            if time < self.window_end:
+                heapq.heappush(self.heap, (time, seq, self._on_key_request, (vehicle, entry)))
+            else:
+                self.crossings.append((time, seq, vehicle, entry))
+
     def _log(self, time, kind, vehicle_id, rsd_id, lane, detail=""):
         """Append one event row; callers check ``record_events`` first."""
         events = self.events
@@ -467,7 +501,7 @@ class _Engine:
             self._log(t, EventKind.VEHICLE_ARRIVAL, vid, rskp.rsd_id, lane, source)
         circuit = traffic.circuit_length
         entry = t + (rskp.pad_position - vehicle.position_at(t, circuit)) % circuit / speed
-        self._push(entry + rskp.detector_latency, self._on_key_request, (vehicle, entry))
+        self._cross(entry + rskp.detector_latency, vehicle, entry)
 
     def _fail(self, t: float, vehicle: Vehicle, cause: str) -> None:
         rskp, _, rm = self.lanes[vehicle.lane]
@@ -488,8 +522,7 @@ class _Engine:
         speed = vehicle.speed
         # The next lap's pad entry and its detector report.
         next_entry = entry + self.traffic.circuit_length / speed
-        self._push(next_entry + rskp.detector_latency, self._on_key_request,
-                   (vehicle, next_entry))
+        self._cross(next_entry + rskp.detector_latency, vehicle, next_entry)
 
         log = self.record_events
         if (
@@ -603,10 +636,26 @@ class _Engine:
         # transfers already in flight: those were causally committed, so
         # they land after the horizon and the pool bookkeeping stays
         # conserved.
-        heap, pop = self.heap, heapq.heappop
-        while heap:
-            time, _, handler, payload = pop(heap)
-            handler(time, *payload)
+        heap, crossings, pop = self.heap, self.crossings, heapq.heappop
+        key_request = self._on_key_request
+        while heap or crossings:
+            # A window opens at the next pending event, so idle time is free,
+            # and spans at least one ulp, so it always holds that event.
+            crossings.sort()
+            start = min(pending[0][0] for pending in (heap, crossings) if pending)
+            end = self.window_end = max(start + self.lap, math.nextafter(start, math.inf))
+            # (end,) sorts after every entry due before end and before the rest.
+            batch = crossings[:bisect_left(crossings, (end,))]
+            del crossings[:len(batch)]
+            for item in batch:
+                while heap and heap[0] < item:
+                    time, _, handler, payload = pop(heap)
+                    handler(time, *payload)
+                time, _, vehicle, entry = item
+                key_request(time, vehicle, entry)
+            while heap and heap[0][0] < end:
+                time, _, handler, payload = pop(heap)
+                handler(time, *payload)
         for pool in self.pools.values():
             while pool.pending:
                 vehicle, _ = pool.pending.popleft()

@@ -2,8 +2,11 @@
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from kljnsim import (
     run_scenario,
 )
 from kljnsim.cli import _fmt, main as cli_main
-from kljnsim.vanet import EventKind, Topology
+from kljnsim.lifetime import secure_bit_rate
+from kljnsim.vanet import EventKind, Rskp, Topology, _Engine
 
 
 def one_rsd_spec(**rskp_overrides):
@@ -33,10 +37,10 @@ def one_rsd_spec(**rskp_overrides):
     return {"rsds": [{"id": "rsd-1", "line": {}}], "rskps": [rskp]}
 
 
-def generated_bits(topology, gamma=100.0):
+def generated_bits(topology, gamma=100.0, traffic=TrafficModel()):
     """Bits all pools generate in 100 s with no traffic and a large pool."""
     metrics = run_scenario(
-        topology, TrafficModel(), 100.0, 1,
+        topology, traffic, 100.0, 1,
         protocol=ProtocolParams(gamma=gamma), pool=PoolParams(capacity_bits=10**6),
     )
     return sum(r.pool_generated for r in metrics.per_rsd.values())
@@ -504,6 +508,28 @@ def churn_spec(endpoint="rsd"):
 # sha256 of metrics.csv, rsd_metrics.csv and events.csv (None: not written).
 # Key values never steer the event loop, so a change of key representation
 # or of engine internals must leave every byte of these files as it is.
+def latency_spec():
+    """Circulating traffic with a 50 ms detector, a pad 1234.5 m into the
+    lap, 250 s keys and no event log."""
+    spec = make_homogeneous_scenario(
+        vehicle_count=200, duration_s=3000.0, seed=1, circuit_length=3000.0,
+        speed_range=(25.0, 35.0), pool_capacity_keys=50, initial_fill=0.5,
+        key_ttl_s=250.0)
+    spec["topology"]["rskps"][0].update(detector_latency_s=0.05, pad_position_m=1234.5)
+    return spec
+
+
+def empty_short_lap_spec():
+    """No vehicles on a 0.03 m circuit at 30 m/s (a 1 ms lap) for 1e4 s:
+    only the pool refills run, with the event log on."""
+    spec = make_homogeneous_scenario(
+        vehicle_count=1, duration_s=1e4, seed=1, circuit_length=0.03,
+        speed_range=(30.0, 30.0))
+    spec["traffic"]["initial_vehicles_per_lane"] = 0
+    spec["record_events"] = True
+    return spec
+
+
 PINNED_OUTPUTS = {
     "saturated": (
         make_homogeneous_scenario(
@@ -524,6 +550,27 @@ PINNED_OUTPUTS = {
         ("ef93e884ca255d7a27bc21eb08a7770793a7a9833fc841dcaad9144dc4b1d209",
          "06d06de0adbd759bc0992650aa723c8908c24f1d40e03ea826b34bec05c6f862",
          "48065110ec6514cc12e0d6540ad106f8c511eeee2f4f30c2e333e32177276b90"),
+    ),
+    # Every lap equals the shortest one.
+    "constant-speed": (
+        make_homogeneous_scenario(
+            vehicle_count=300, duration_s=2000.0, seed=1, circuit_length=3000.0,
+            speed_range=(30.0, 30.0), initial_fill=0.0),
+        ("2354529fb101796e1ebb16530f3cb7cf0869d69b6b6309fa659e01ef6fefe0b4",
+         "3253f5a7c44b1917d9020a286757db6a760f0f3bda1d47d39110eb7c783ef5e5",
+         None),
+    ),
+    "latency-ttl": (
+        latency_spec(),
+        ("36c9fe87149f3d849d971be27280b24b0166f674934a5ed647656e76a9a460ba",
+         "708c753ff2fb4da525a47a9034a00e5574872449f2e49552ac9081a374f23818",
+         None),
+    ),
+    "empty-short-lap": (
+        empty_short_lap_spec(),
+        ("15a5d9caaee8aaa880d834444c56c1bbac3cc137fcf8e69d07ea04bd3b78cf79",
+         "10f19a07dc2b5a3f22af5eaa2fc47ab14b7337973222b4c712b69f4b90a1193e",
+         "a6a5032f68854f5b57f8023c32af616f47d74cd61902bb53602eb525662efe2f"),
     ),
 }
 
@@ -565,3 +612,152 @@ def test_events_csv_matches_cell_oracle(endpoint, tmp_path):
         for e in events
     ]
     assert (out / "events.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def tie_engine(duration_s=1000.0):
+    """One vehicle enters the pad at 1.0 s and laps in exactly 100 s, so its
+    crossings land at 1, 101, 201, ... s: on the 1 s pool refills."""
+    traffic = TrafficModel(circuit_length=3000.0, speed_range=(30.0, 30.0),
+                           arrival_rate_per_lane=1e-9)
+    engine = _Engine(build_topology(one_rsd_spec()), traffic, duration_s, 1,
+                     ProtocolParams(), PoolParams(initial_fill=0.0),
+                     record_events=True, record_donations=False)
+    engine._push(1.0, engine._on_arrival, ("lane-1", "poisson"))
+    return engine
+
+
+def crossings_by_horizon(engine):
+    """Sum over vehicles of #{k : e_k + latency <= horizon}, with the engine's
+    float rule: e_0 is the first pad entry and e_(k+1) = e_k + circuit/speed."""
+    circuit = engine.traffic.circuit_length
+    total = 0
+    for v in engine.vehicles:
+        pad = engine.lanes[v.lane][0]
+        entry = v.t0 + (pad.pad_position - v.position_at(v.t0, circuit)) % circuit / v.speed
+        while entry + pad.detector_latency <= engine.duration:
+            total += 1
+            entry = entry + circuit / v.speed
+    return total
+
+
+def window_edge_engine(name):
+    if name == "tie":
+        return tie_engine(duration_s=901.0)
+    spec = small_scenario()
+    traffic = spec["traffic"]
+    traffic.update(initial_vehicles_per_lane=40, circuit_length=1200.0)
+    if name == "lap-equals-window":
+        traffic["speed_range"] = [30.0, 30.0]
+    else:
+        traffic.update(speed_range=[25.0, 35.0], arrival_rate_per_lane=0.02)
+        spec["topology"]["rskps"][0].update(detector_latency_s=0.05, pad_position_m=1234.5)
+    s = Scenario.from_dict(spec)
+    return _Engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol, s.pool,
+                   record_events=False, record_donations=False)
+
+
+class TestEventOrder:
+    def test_crossing_ties_keep_push_order(self):
+        metrics = tie_engine().run()
+        # The 101 s crossing was pushed at 1 s, the refill at 100 s.
+        assert [e.kind.value for e in metrics.events if e.time == 101.0] == [
+            "key-request", "donation-start", "pool-refill"]
+        assert metrics.donation_success == 10
+        rows = "".join(
+            f"{e.time!r},{e.sequence},{e.kind.value},{e.vehicle_id},{e.detail}\n"
+            for e in metrics.events
+        )
+        summary = repr(dataclasses.replace(metrics, events=None))
+        assert hashlib.sha256((rows + summary).encode()).hexdigest() == (
+            "56a7465ce2798611dcd1619e8d852ec90c983d8180ff4e1f9a1da107bd9db69f")
+
+    @pytest.mark.parametrize("name", ["lap-equals-window", "latency-pad-offset", "tie"])
+    def test_every_crossing_runs_once(self, name):
+        # With keys that expire at once, no departures and provisioned keys,
+        # each pad crossing up to the horizon ends in one donation or one
+        # failure.
+        engine = window_edge_engine(name)
+        metrics = engine.run()
+        assert metrics.skipped_valid_key == 0
+        assert metrics.donation_attempts == crossings_by_horizon(engine) > 0
+
+
+INVARIANT_SPECS = {
+    "small": small_scenario(), "churn": churn_spec(), "churn-rskp": churn_spec("rskp"),
+}
+
+
+class TestNetworkInvariants:
+    @pytest.mark.parametrize("name", sorted(INVARIANT_SPECS))
+    def test_metrics_do_not_depend_on_event_log(self, name):
+        s = Scenario.from_dict(INVARIANT_SPECS[name])
+        logged = s.run(record_events=True)
+        assert logged.events
+        assert dataclasses.replace(logged, events=None) == s.run(record_events=False)
+
+    @pytest.mark.parametrize("name", sorted(INVARIANT_SPECS))
+    def test_event_counts_match_metrics(self, name):
+        metrics = Scenario.from_dict(INVARIANT_SPECS[name]).run(record_events=True)
+        rows = Counter((e.kind, e.detail) for e in metrics.events)
+        request = EventKind.KEY_REQUEST
+        assert rows[EventKind.DONATION_COMPLETE, ""] == metrics.donation_success > 0
+        assert rows[request, "fail:pool-empty"] == metrics.fail_pool_empty
+        assert rows[request, "fail:window-too-short"] == metrics.fail_window_too_short
+        assert rows[request, "fail:no-former-key"] == metrics.fail_no_former_key
+        assert rows[request, "skipped-valid-key"] == metrics.skipped_valid_key
+
+    def test_pool_bits_conserved_when_cap_never_binds(self):
+        # 300 cars on a 100 s lap ask for 3 keys/s against 1 key/s of supply,
+        # so the pool, a tenth full at the start, never reaches its cap.
+        s = Scenario.from_dict(make_homogeneous_scenario(
+            vehicle_count=300, duration_s=2000.0, seed=1, circuit_length=3000.0,
+            pool_capacity_keys=1000, initial_fill=0.1))
+        metrics = s.run()
+        pool = metrics.per_rsd["rsd-1"]
+        assert pool.pool_generated == metrics.bits_donated + pool.pool_available_end
+        (rsd,) = s.topology.rsds
+        key_bits = s.protocol.key_bits
+        step = key_bits / secure_bit_rate(
+            rsd.line.noise_bandwidth, s.protocol.gamma, rsd.parallel_channels)
+        refills, t = 0, step
+        while t <= s.duration_s:
+            refills += 1
+            t = t + step
+        assert pool.pool_generated == 1000 * key_bits // 10 + key_bits * refills
+
+
+nan, inf = math.nan, math.inf
+PAD = functools.partial(Rskp, id="p", rsd_id="r", lane="l")
+NON_FINITE = [
+    (ProtocolParams, "gamma", nan), (ProtocolParams, "gamma", inf),
+    (PAD, "pad_length", nan), (PAD, "pad_length", inf), (PAD, "transfer_rate", nan),
+    (PAD, "detector_latency", nan), (PAD, "pad_position", nan), (PAD, "pad_position", -inf),
+    (TrafficModel, "speed_range", (30.0, inf)), (TrafficModel, "speed_range", (nan, 30.0)),
+    (TrafficModel, "speed_range", (30.0, nan)), (TrafficModel, "circuit_length", nan),
+    (TrafficModel, "circuit_length", inf), (TrafficModel, "key_ttl_s", nan),
+    (TrafficModel, "arrival_rate_per_lane", inf), (TrafficModel, "mean_dwell_s", nan),
+]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("make, field, value", [
+        pytest.param(*case, id=f"{case[1]}={case[2]}") for case in NON_FINITE
+    ])
+    def test_config_field_named(self, make, field, value):
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+            make(**{field: value})
+
+    @pytest.mark.parametrize("duration", [nan, inf])
+    def test_engine_duration(self, duration):
+        s = Scenario.from_dict(small_scenario())
+        with pytest.raises(InvalidParameterError, match="^duration_s must be finite"):
+            _Engine(s.topology, s.traffic, duration, 1, s.protocol, s.pool,
+                    record_events=False, record_donations=False)
+
+
+def test_window_never_empty_when_lap_underflows():
+    # circuit/speed rounds to 0 s, so each window must still hold its first
+    # event; the pool refills once a second, as with any lap.
+    traffic = TrafficModel(circuit_length=1e-300, speed_range=(1e30, 1e30))
+    assert traffic.circuit_length / traffic.speed_range[1] == 0.0
+    assert generated_bits(build_topology(one_rsd_spec()), traffic=traffic) == 10_000
