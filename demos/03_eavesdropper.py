@@ -8,7 +8,6 @@ Run: python3 demos/03_eavesdropper.py
 import numpy as np
 
 from kljnsim import (
-    EveObservation,
     ExchangeConfig,
     InjectionAttack,
     Resistor,
@@ -57,8 +56,8 @@ for p in points:
     print(f"  {p.relative_amplitude:8.1e} -> alarm rate {p.alarm_rate:4.2f}")
 
 # What Eve actually sees on a mixed period: the same numbers as everyone.
-obs = EveObservation.from_signals(signals)
+u, i = signals.channel_voltage.samples, signals.channel_current.samples
 print("\n=== Eve's view of one secure period ===")
-print(f"  msv_u = {obs.msv_u:.3f} V^2, msv_i = {obs.msv_i:.3e} A^2, "
-      f"<u*i> = {obs.cross_correlation:.3e}")
+print(f"  msv_u = {np.mean(u * u):.3f} V^2, msv_i = {np.mean(i * i):.3e} A^2, "
+      f"<u*i> = {np.mean(u * i):.3e}")
 print("  ...which is identical in distribution whether the period was LH or HL.")

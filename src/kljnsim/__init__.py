@@ -10,9 +10,9 @@ The package splits into five layers:
   assembly, endpoint comparison of attacked views (the unattacked exchange
   has no alarm path).
 * :mod:`kljnsim.adversary`: passive wiretap strategies and active current
-  injection, with the leak-allowance policy.
+  injection, scored on the period engine.
 * :mod:`kljnsim.lifetime`: the rate chain from line physics to the key
-  lifetime upper limit.
+  lifetime upper limit, and the advisory limits on theta and gamma.
 * :mod:`kljnsim.vanet`: discrete-event simulation of pools, pads, and
   vehicles receiving one-time-pad encrypted keys; each pool fills at its
   owner's line rate under the scenario's protocol gamma.
@@ -58,19 +58,15 @@ from .protocol import (
     run_periods,
 )
 from .adversary import (
-    EveObservation,
     GuessStrategy,
     InjectionAttack,
-    LeakReport,
     Waveform,
     apply_injection,
-    leak_report,
 )
 from .lifetime import (
     LifetimeParams,
     LifetimeReport,
     car_density,
-    car_density_from_loads,
     key_lifetime,
     key_lifetime_closed_form,
     noise_bandwidth,

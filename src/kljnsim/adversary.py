@@ -12,7 +12,6 @@ disagree by exactly the injected amount.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,13 +27,12 @@ from .physics import (
     theoretical_msv,
 )
 from .protocol import (
-    BitFlag,
     ExchangeConfig,
-    KeyMaterial,
     Resistor,
     _MID,
     _Periods,
     _classify,
+    _require_count,
     monitor_endpoints,
     pair_of,
     period_resistances,
@@ -51,26 +49,6 @@ class GuessStrategy(str, Enum):
 class Waveform(str, Enum):
     CONSTANT = "constant"
     GAUSSIAN = "gaussian"
-
-
-@dataclass(frozen=True)
-class EveObservation:
-    """What a passive wiretapper extracts from one secure-looking period.
-    ``passive_sweep`` reads it off the in-band Fourier bins."""
-
-    msv_u: float
-    msv_i: float
-    cross_correlation: float
-
-    @classmethod
-    def from_signals(cls, signals: LoopSignals) -> "EveObservation":
-        u = signals.channel_voltage.samples
-        i = signals.channel_current.samples
-        return cls(
-            msv_u=float(np.mean(u * u)),
-            msv_i=float(np.mean(i * i)),
-            cross_correlation=float(np.mean(u * i)),
-        )
 
 
 def _guesses_lh(
@@ -164,65 +142,6 @@ def apply_injection(
 
 
 @dataclass(frozen=True)
-class LeakReport:
-    """Outcome of applying the agreed maximum-leak policy to a key pair."""
-
-    alice: KeyMaterial
-    bob: KeyMaterial
-    discarded: np.ndarray
-    compromised_fraction: float
-
-    @property
-    def discarded_count(self) -> int:
-        return int(np.count_nonzero(self.discarded))
-
-
-def leak_report(
-    alice: KeyMaterial,
-    bob: KeyMaterial,
-    alarmed_bits,
-    max_leak: float,
-) -> LeakReport:
-    """Apply the pre-agreed information-leak allowance to both keys.
-
-    Bits whose bit-sharing period raised the intrusion alarm count as
-    compromised. If the compromised fraction exceeds ``max_leak`` the
-    compromised bits are dropped from both keys symmetrically; otherwise the
-    parties accept the bounded leak and keep their keys unchanged.
-    """
-    if not 0.0 <= max_leak <= 1.0:
-        raise InvalidParameterError("max_leak must lie in [0, 1]")
-    alarmed = np.asarray(alarmed_bits, dtype=bool)
-    if len(alarmed) != alice.length or alice.length != bob.length:
-        raise InvalidParameterError("alarm mask and keys must have matching lengths")
-
-    fraction = float(alarmed.mean()) if alice.length else 0.0
-    if fraction <= max_leak:
-        return LeakReport(
-            alice=alice,
-            bob=bob,
-            discarded=np.zeros(alice.length, dtype=bool),
-            compromised_fraction=fraction,
-        )
-
-    def strip(key: KeyMaterial) -> KeyMaterial:
-        flags = key.flags.copy()
-        flags[key.secure_periods[alarmed]] = BitFlag.COMPROMISED
-        return KeyMaterial(
-            bits=key.bits[~alarmed],
-            flags=flags,
-            secure_periods=key.secure_periods[~alarmed],
-        )
-
-    return LeakReport(
-        alice=strip(alice),
-        bob=strip(bob),
-        discarded=alarmed.copy(),
-        compromised_fraction=fraction,
-    )
-
-
-@dataclass(frozen=True)
 class PassiveSweepResult:
     """Accuracy of each guessing strategy over orientation-balanced periods."""
 
@@ -248,8 +167,7 @@ def passive_sweep(
     Each strategy is scored on the kept periods, and their voltage-current
     cross-correlation, statistically zero on the ideal line, is averaged.
     """
-    if not isinstance(n_periods, numbers.Integral) or n_periods < 2:
-        raise InvalidParameterError(f"n_periods must be an integer >= 2, got {n_periods!r}")
+    _require_count("n_periods", n_periods, 2)
     if strategies is None:
         strategies = list(GuessStrategy)
     strategies = [GuessStrategy(s) for s in strategies]
@@ -332,10 +250,7 @@ def injection_sweep(
     has zero mean: that runs on the engine's ``msv_i`` row. Only a Gaussian
     injection builds each period's waveforms. Amplitude 0 draws no noise.
     """
-    if not isinstance(periods_per_amplitude, numbers.Integral) or periods_per_amplitude < 1:
-        raise InvalidParameterError(
-            f"periods_per_amplitude must be a positive integer, got {periods_per_amplitude!r}"
-        )
+    _require_count("periods_per_amplitude", periods_per_amplitude, 1)
     waveform, relative_amplitudes = Waveform(waveform), list(relative_amplitudes)
     if any(not 0 <= rel < math.inf for rel in relative_amplitudes):
         raise InvalidParameterError("relative amplitudes must be finite and >= 0")

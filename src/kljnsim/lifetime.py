@@ -15,9 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .physics import LOW_GAMMA_LIMIT, NO_WAVE_THETA_LIMIT, KljnLineConfig
+from .physics import KljnLineConfig, require_finite
 
 _REL_TOL = 1e-9
+
+#: Above this bandwidth fraction the quasi-static treatment of the line
+#: becomes questionable; the report sets ``no_wave_warning``.
+NO_WAVE_THETA_LIMIT = 0.2
+
+#: Below this averaging ratio periods misclassify often; the report sets
+#: ``gamma_warning``. Both limits are policy: physics only asks
+#: theta << 1 << gamma.
+LOW_GAMMA_LIMIT = 10.0
 
 
 def noise_bandwidth(theta: float, wave_speed: float, line_length: float) -> float:
@@ -51,20 +60,6 @@ def car_density(car_count: float, kljn_unit_count: int) -> float:
     return car_count / kljn_unit_count
 
 
-def car_density_from_loads(loads, pessimistic: bool = True) -> float:
-    """Per-unit car density from observed per-unit loads.
-
-    ``pessimistic=True`` takes the maximum load (upper-limit planning);
-    otherwise the mean.
-    """
-    loads = list(loads)
-    if not loads:
-        raise InvalidParameterError("need at least one per-unit load")
-    if any(x < 0 for x in loads):
-        raise InvalidParameterError("loads must be non-negative")
-    return float(max(loads)) if pessimistic else sum(loads) / len(loads)
-
-
 def per_car_rate(secure_rate: float, density: float) -> float:
     """Secure bit donation rate to a single car: f_sec / n_c."""
     if density <= 0:
@@ -94,6 +89,11 @@ class LifetimeParams:
     parallel_channels: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(theta=self.theta, wave_speed=self.wave_speed,
+                       line_length=self.line_length, gamma=self.gamma,
+                       key_length=self.key_length, car_count=self.car_count,
+                       kljn_unit_count=self.kljn_unit_count, car_density=self.car_density,
+                       parallel_channels=self.parallel_channels)
         if self.key_length < 0:
             raise InvalidParameterError("key_length must be non-negative")
         if self.gamma < 1:

@@ -21,16 +21,15 @@ from .errors import AliasingError, GridMismatchError, InvalidParameterError
 #: Boltzmann constant in J/K (exact SI value).
 BOLTZMANN = 1.380649e-23
 
-#: Above this bandwidth fraction the quasi-static treatment of the line
-#: becomes questionable; configs are accepted but flagged.
-NO_WAVE_THETA_LIMIT = 0.2
-
-#: Below this averaging ratio periods misclassify often; configs are accepted
-#: but flagged. Both limits are policy: physics only asks theta << 1 << gamma.
-LOW_GAMMA_LIMIT = 10.0
-
 #: Default sampling density relative to the noise bandwidth.
 DEFAULT_OVERSAMPLE = 10.0
+
+
+def require_finite(**fields) -> None:
+    """Reject NaN and ±inf, naming the field (``from_dict`` checks JSON)."""
+    for name, value in fields.items():
+        if value is not None and not np.isfinite(value).all():
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -53,10 +52,6 @@ class PairClass(Enum):
     HL = "HL"
     HH = "HH"
 
-    @property
-    def secure(self) -> bool:
-        return self in (PairClass.LH, PairClass.HL)
-
 
 @dataclass(frozen=True)
 class KljnLineConfig:
@@ -78,7 +73,8 @@ class KljnLineConfig:
         Propagation speed of electromagnetic waves in the wire, m/s.
     theta : float
         Dimensionless bandwidth fraction in (0, 1). Values of 0.2 and above
-        are accepted but flagged as straining the no-wave limit.
+        are accepted; the lifetime report's ``no_wave_warning`` marks them
+        as straining the no-wave limit.
     """
 
     r_low: float = 10e3
@@ -89,6 +85,9 @@ class KljnLineConfig:
     theta: float = 0.1
 
     def __post_init__(self) -> None:
+        require_finite(r_low=self.r_low, r_high=self.r_high, t_eff=self.t_eff,
+                       line_length=self.line_length, wave_speed=self.wave_speed,
+                       theta=self.theta)
         if self.r_low <= 0 or self.r_high <= 0:
             raise InvalidParameterError("resistor values must be positive")
         if self.r_low >= self.r_high:
@@ -113,13 +112,6 @@ class KljnLineConfig:
     def correlation_time(self) -> float:
         """Approximate correlation time of the band-limited noise, seconds."""
         return 1.0 / self.noise_bandwidth
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        """Advisory flags ('no-wave-limit' when theta is uncomfortably large)."""
-        if self.theta >= NO_WAVE_THETA_LIMIT:
-            return ("no-wave-limit",)
-        return ()
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ alarm path; ``monitor_endpoints`` compares views an injection made differ.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
@@ -32,12 +33,12 @@ from .physics import (
     LoopSignals,
     PairClass,
     DEFAULT_OVERSAMPLE,
-    LOW_GAMMA_LIMIT,
     as_seed_sequence,
     assert_same_grid,
     in_band_bins,
     johnson_rms,
     pair_resistances,
+    require_finite,
     sample_bandlimited_gaussian,
     solve_loop,
     theoretical_msv,
@@ -73,7 +74,6 @@ class BitFlag(IntEnum):
 
     SECURE = 0
     DISCARDED_PUBLIC = 1
-    COMPROMISED = 2
 
 
 #: Channels a period may be classified on.
@@ -116,6 +116,8 @@ class ExchangeConfig:
     timeout_factor: float = 100.0
 
     def __post_init__(self) -> None:
+        require_finite(gamma=self.gamma, oversample=self.oversample,
+                       alarm_tolerance=self.alarm_tolerance, timeout_factor=self.timeout_factor)
         if self.gamma < 1:
             raise InvalidParameterError("gamma must be at least 1")
         if self.oversample < 2:
@@ -170,14 +172,6 @@ class ExchangeConfig:
     @property
     def sample_rate(self) -> float:
         return self.oversample * self.line.noise_bandwidth
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        """Advisory flags; 'low-gamma' below the comfortable averaging regime."""
-        out = list(self.line.flags)
-        if self.gamma < LOW_GAMMA_LIMIT:
-            out.append("low-gamma")
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -404,6 +398,11 @@ class _Periods:
         self.done -= count
 
 
+def _require_count(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _stats(config: ExchangeConfig, choices: np.ndarray, level: np.ndarray) -> ExchangeStats:
     pairs = np.bincount(2 * choices[:, 0] + choices[:, 1], minlength=4)
     periods = len(level)
@@ -421,8 +420,7 @@ def run_periods(
     config: ExchangeConfig, n_periods: int, seed
 ) -> tuple[list[BitPeriodRecord], ExchangeStats]:
     """Run a fixed number of bit-sharing periods (no key assembly)."""
-    if n_periods < 0:
-        raise InvalidParameterError("n_periods must be non-negative")
+    _require_count("n_periods", n_periods, 0)
     choice_seed, noise_root = as_seed_sequence(seed).spawn(2)
     drawn = np.random.default_rng(choice_seed).integers(0, 2, size=(n_periods, 2))
     records = []
@@ -451,8 +449,7 @@ def run_key_exchange(
     Raises ExchangeTimeoutError once ``timeout_factor * 2 * target_bits``
     periods have passed without reaching the target.
     """
-    if target_bits < 0:
-        raise InvalidParameterError("target_bits must be non-negative")
+    _require_count("target_bits", target_bits, 0)
     choice_seed, noise_root = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(choice_seed)
     engine = _Periods(config, noise_root)
@@ -505,8 +502,7 @@ def estimate_ber(
     ground truth and counts periods whose classified band differs from the
     band implied by the true permutation. Deterministic under a fixed seed.
     """
-    if runs_per_gamma < 100:
-        raise InvalidParameterError("runs_per_gamma must be at least 100")
+    _require_count("runs_per_gamma", runs_per_gamma, 100)
     root = as_seed_sequence(seed)
     out = []
     for gamma in gamma_list:

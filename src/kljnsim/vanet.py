@@ -31,14 +31,7 @@ import numpy as np
 from .config import from_dict
 from .errors import ConfigError, InvalidParameterError, TopologyError
 from .lifetime import secure_bit_rate
-from .physics import KljnLineConfig, as_seed_sequence
-
-
-def _require_finite(**fields) -> None:
-    """Reject NaN and ±inf, naming the field (``from_dict`` checks JSON)."""
-    for name, value in fields.items():
-        if value is not None and not np.isfinite(value).all():
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+from .physics import KljnLineConfig, as_seed_sequence, require_finite
 
 
 class EventKind(str, Enum):
@@ -77,8 +70,8 @@ class Rskp:
     line: KljnLineConfig | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(pad_length=self.pad_length, transfer_rate=self.transfer_rate,
-                        detector_latency=self.detector_latency, pad_position=self.pad_position)
+        require_finite(pad_length=self.pad_length, transfer_rate=self.transfer_rate,
+                       detector_latency=self.detector_latency, pad_position=self.pad_position)
         if not self.id or not self.lane:
             raise InvalidParameterError("an RSKP needs a non-empty id and lane")
         if self.pad_length <= 0:
@@ -207,9 +200,9 @@ class TrafficModel:
     key_ttl_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(circuit_length=self.circuit_length, speed_range=self.speed_range,
-                        arrival_rate_per_lane=self.arrival_rate_per_lane,
-                        mean_dwell_s=self.mean_dwell_s, key_ttl_s=self.key_ttl_s)
+        require_finite(circuit_length=self.circuit_length, speed_range=self.speed_range,
+                       arrival_rate_per_lane=self.arrival_rate_per_lane,
+                       mean_dwell_s=self.mean_dwell_s, key_ttl_s=self.key_ttl_s)
         if self.circuit_length <= 0:
             raise InvalidParameterError("circuit_length must be positive")
         if self.arrival_rate_per_lane < 0:
@@ -234,7 +227,7 @@ class ProtocolParams:
     key_bits: int = 100
 
     def __post_init__(self) -> None:
-        _require_finite(gamma=self.gamma)
+        require_finite(gamma=self.gamma)
         if self.gamma < 1:
             raise InvalidParameterError("gamma must be at least 1")
         if self.key_bits < 1:
@@ -276,10 +269,8 @@ class Vehicle:
     lane: str
     speed: float
     pos0: float
-    t0: float
     arrival_time: float
     current_key: int | None = None
-    former_key: int | None = None
     key_issued_at: float | None = None
     departed_at: float | None = None
     donated_bits: int = 0
@@ -288,7 +279,7 @@ class Vehicle:
     refresh_max: float = 0.0
 
     def position_at(self, now: float, circuit: float) -> float:
-        return (self.pos0 + self.speed * (now - self.t0)) % circuit
+        return (self.pos0 + self.speed * (now - self.arrival_time)) % circuit
 
 
 @dataclass
@@ -380,7 +371,7 @@ class _Engine:
         record_events: bool,
         record_donations: bool,
     ):
-        _require_finite(duration_s=duration_s)
+        require_finite(duration_s=duration_s)
         if duration_s <= 0:
             raise InvalidParameterError("duration_s must be positive")
         self.lap = traffic.circuit_length / traffic.speed_range[1]
@@ -481,7 +472,7 @@ class _Engine:
             else 0.0
         )
         vid = len(self.vehicles)
-        vehicle = Vehicle(id=vid, lane=lane, speed=speed, pos0=pos, t0=t, arrival_time=t)
+        vehicle = Vehicle(id=vid, lane=lane, speed=speed, pos0=pos, arrival_time=t)
         if traffic.provision_keys:
             vehicle.current_key = self.provision_source.getrandbits(self.key_bits)
             vehicle.key_issued_at = t
@@ -572,7 +563,6 @@ class _Engine:
     ) -> None:
         rskp, _, rm = self.lanes[vehicle.lane]
         former = vehicle.current_key
-        vehicle.former_key = former
         vehicle.current_key = ciphertext ^ former
         interval = t - vehicle.key_issued_at
         vehicle.refresh_sum += interval

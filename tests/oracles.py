@@ -11,6 +11,7 @@ built from them sit in ``test_period_engine.py``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from kljnsim import (
     theoretical_msv,
 )
 from kljnsim.adversary import (
-    EveObservation,
     GuessStrategy,
     InjectionAttack,
     InjectionSweepPoint,
@@ -121,6 +121,27 @@ def run_bit_period(
 ) -> BitPeriodRecord:
     """Run one full bit-sharing period on waveforms: synthesize, classify."""
     return measure_period(config, choices, synthesize_period(config, choices, seed))
+
+
+@dataclass(frozen=True)
+class EveObservation:
+    """What a passive wiretapper extracts from one secure-looking period,
+    as sample means of the waveforms; ``passive_sweep`` reads the same three
+    numbers off the in-band Fourier bins."""
+
+    msv_u: float
+    msv_i: float
+    cross_correlation: float
+
+    @classmethod
+    def from_signals(cls, signals: LoopSignals) -> "EveObservation":
+        u = signals.channel_voltage.samples
+        i = signals.channel_current.samples
+        return cls(
+            msv_u=float(np.mean(u * u)),
+            msv_i=float(np.mean(i * i)),
+            cross_correlation=float(np.mean(u * i)),
+        )
 
 
 def passive_guess(

@@ -1,13 +1,11 @@
-"""Wiretap strategies, current injection, and the leak-allowance policy."""
+"""Wiretap strategies and current injection."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from kljnsim import (
-    EveObservation,
     ExchangeConfig,
     GuessStrategy,
     InjectionAttack,
@@ -16,16 +14,14 @@ from kljnsim import (
     Resistor,
     Waveform,
     apply_injection,
-    leak_report,
     monitor_endpoints,
-    run_key_exchange,
     theoretical_msv,
 )
 from kljnsim.adversary import injection_sweep, passive_sweep
 from kljnsim.physics import in_band_bins, pair_resistances
-from kljnsim.protocol import BitFlag, period_resistances, synthesize_period
+from kljnsim.protocol import period_resistances, synthesize_period
 import oracles
-from oracles import choose_resistors, passive_guess
+from oracles import EveObservation, choose_resistors, passive_guess
 from test_error_law import gamma_cdf
 
 
@@ -37,16 +33,6 @@ def config():
 @pytest.fixture(scope="module")
 def secure_signals(config):
     return synthesize_period(config, (Resistor.L, Resistor.H), 2718)
-
-
-class TestEveObservation:
-    def test_derived_statistics_recomputed_deterministically(self, secure_signals):
-        a = EveObservation.from_signals(secure_signals)
-        b = EveObservation.from_signals(secure_signals)
-        assert (a.msv_u, a.msv_i, a.cross_correlation) == (
-            b.msv_u, b.msv_i, b.cross_correlation,
-        )
-        assert a.msv_u == secure_signals.channel_voltage.mean_square()
 
 
 class TestPassiveGuess:
@@ -292,48 +278,3 @@ class TestAlarmLaw:
         # The check has the power to see a wrong alpha or a dropped c^2 alpha^2.
         assert abs(z(lambda r_a, r_b: min(r_a, r_b) / (r_a + r_b))) > Z_CRIT
         assert abs(z(lambda r_a, r_b: 0.0)) > Z_CRIT
-
-
-class TestLeakReport:
-    def _keys(self, config, bits=40, seed=9):
-        return run_key_exchange(config, bits, seed)
-
-    def test_no_alarms_means_no_compromise(self, config):
-        alice, bob, _ = self._keys(config)
-        report = leak_report(alice, bob, np.zeros(alice.length, bool), 0.0)
-        assert report.compromised_fraction == 0.0
-        assert report.discarded_count == 0
-        assert report.alice is alice and report.bob is bob
-
-    def test_zero_allowance_discards_every_compromised_bit(self, config):
-        alice, bob, _ = self._keys(config)
-        alarmed = np.zeros(alice.length, bool)
-        alarmed[[2, 7, 11]] = True
-        report = leak_report(alice, bob, alarmed, 0.0)
-        assert report.discarded_count == 3
-        assert report.alice.length == alice.length - 3
-        assert np.count_nonzero(report.alice.flags == BitFlag.COMPROMISED) == 3
-        assert report.alice == report.bob or not np.array_equal(alice.bits, bob.bits)
-
-    def test_full_allowance_discards_nothing(self, config):
-        alice, bob, _ = self._keys(config)
-        alarmed = np.ones(alice.length, bool)
-        report = leak_report(alice, bob, alarmed, 1.0)
-        assert report.discarded_count == 0
-        assert report.alice.length == alice.length
-
-    @given(
-        mask=st.lists(st.booleans(), min_size=40, max_size=40),
-        max_leak=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_removal_is_symmetric(self, mask, max_leak):
-        cfg = ExchangeConfig()
-        alice, bob, _ = run_key_exchange(cfg, 40, 9)
-        report = leak_report(alice, bob, np.array(mask), max_leak)
-        assert report.alice.length == report.bob.length
-        assert np.array_equal(report.alice.secure_periods, report.bob.secure_periods)
-
-    def test_bad_allowance_rejected(self, config):
-        alice, bob, _ = self._keys(config)
-        with pytest.raises(InvalidParameterError):
-            leak_report(alice, bob, np.zeros(alice.length, bool), 1.5)

@@ -1,6 +1,7 @@
 """The rate chain from line physics to the key-lifetime upper limit."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,6 @@ from kljnsim import (
     InvalidParameterError,
     LifetimeParams,
     car_density,
-    car_density_from_loads,
     key_lifetime,
     key_lifetime_closed_form,
     noise_bandwidth,
@@ -73,12 +73,6 @@ class TestCarDensity:
         with pytest.raises(InvalidParameterError):
             car_density(10, 0)
 
-    def test_density_from_loads(self):
-        assert car_density_from_loads([100, 900, 500]) == 900.0
-        assert car_density_from_loads([100, 900, 500], pessimistic=False) == 500.0
-        with pytest.raises(InvalidParameterError):
-            car_density_from_loads([])
-
 
 class TestPerCarRate:
     def test_worked_numbers(self):
@@ -123,10 +117,15 @@ class TestKeyLifetime:
         )
 
     def test_warnings(self):
-        report = key_lifetime(LifetimeParams(**{**WORKED, "theta": 0.5}))
-        assert report.no_wave_warning
-        report = key_lifetime(LifetimeParams(**{**WORKED, "gamma": 5.0}))
-        assert report.gamma_warning
+        # theta >= 0.2 and gamma < 10 warn, each checked on both sides of its limit.
+        for theta, warns in [(0.5, True), (0.2, True), (math.nextafter(0.2, 0), False)]:
+            report = key_lifetime(LifetimeParams(**{**WORKED, "theta": theta}))
+            assert report.no_wave_warning == warns, theta
+            assert not report.gamma_warning
+        for gamma, warns in [(5.0, True), (math.nextafter(10.0, 0), True), (10.0, False)]:
+            report = key_lifetime(LifetimeParams(**{**WORKED, "gamma": gamma}))
+            assert report.gamma_warning == warns, gamma
+            assert not report.no_wave_warning
 
     @given(
         theta=st.floats(min_value=1e-3, max_value=0.999),
@@ -217,3 +216,15 @@ class TestLifetimeParams:
                 **{k: v for k, v in WORKED.items() if k != "car_density"},
                 car_count=100,
             )
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("field", [
+        "theta", "wave_speed", "line_length", "gamma", "key_length", "car_count",
+        "kljn_unit_count", "car_density", "parallel_channels",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_field_named(self, field, value):
+        # NaN used to pass every range check: gamma=nan gave a NaN lifetime.
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+            LifetimeParams(**{**WORKED, field: value})

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from kljnsim import (
-    EveObservation,
     ExchangeConfig,
     ExchangeTimeoutError,
     GuessStrategy,
@@ -42,6 +41,7 @@ from kljnsim.protocol import (
     synthesize_period,
 )
 from oracles import (
+    EveObservation,
     choose_resistors,
     classify_period,
     expected_level,
@@ -430,6 +430,16 @@ def test_passive_timeout_matches_period_loop():
         same_sweep(capped, _sweep_outcome(oracle_passive_sweep, sliver, 2, seed, strategies))
         assert isinstance(finished, tuple)
         assert capped.startswith("RuntimeError: could not collect")
+
+
+def test_eve_observation_recomputed_deterministically():
+    signals = synthesize_period(ExchangeConfig(), (Resistor.L, Resistor.H), 2718)
+    a = EveObservation.from_signals(signals)
+    b = EveObservation.from_signals(signals)
+    assert (a.msv_u, a.msv_i, a.cross_correlation) == (
+        b.msv_u, b.msv_i, b.cross_correlation,
+    )
+    assert a.msv_u == signals.channel_voltage.mean_square()
 
 
 def test_random_guess_is_one_draw_per_period():

@@ -257,9 +257,15 @@ class TestLineConfig:
         with pytest.raises(InvalidParameterError):
             KljnLineConfig(theta=1.0)
 
-    def test_large_theta_flagged_not_rejected(self):
-        assert KljnLineConfig(theta=0.5).flags == ("no-wave-limit",)
-        assert KljnLineConfig(theta=0.1).flags == ()
+    @pytest.mark.parametrize("field", [
+        "r_low", "r_high", "t_eff", "line_length", "wave_speed", "theta",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # line_length=nan used to give a NaN bandwidth, and a network pool
+        # on that line silently made 0 bits.
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+            KljnLineConfig(**{field: value})
 
     def test_pair_resistances(self):
         line = KljnLineConfig(r_low=1e4, r_high=1e5)

@@ -119,9 +119,20 @@ class TestExchangeConfig:
         with pytest.raises(InvalidParameterError):
             ExchangeConfig(gamma=0.5)
 
-    def test_low_gamma_flagged(self):
-        assert "low-gamma" in ExchangeConfig(gamma=5).flags
-        assert "low-gamma" not in ExchangeConfig(gamma=100).flags
+    @pytest.mark.parametrize("field", [
+        "gamma", "oversample", "alarm_tolerance", "timeout_factor",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # timeout_factor=inf used to be accepted, and run_key_exchange then
+        # died with a bare OverflowError.
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
+            ExchangeConfig(**{field: value})
+
+    def test_non_finite_gamma_list_entry_rejected(self, config):
+        # Used to die with "cannot convert float NaN to integer".
+        with pytest.raises(InvalidParameterError, match="^gamma must be finite"):
+            estimate_ber(config, [math.nan], 100, 1)
 
     def test_bit_period_and_sample_rate(self, config):
         bw = config.line.noise_bandwidth
@@ -365,3 +376,21 @@ class TestEstimateBer:
     def test_runs_floor_enforced(self, config):
         with pytest.raises(InvalidParameterError):
             estimate_ber(config, [10], 99, 0)
+
+
+def _ber(config, runs, seed):
+    return estimate_ber(config, [10], runs, seed)
+
+
+@pytest.mark.parametrize("run, name, value", [
+    pytest.param(run, name, value, id=f"{name}={value!r}")
+    for run, name, good in [
+        (run_periods, "n_periods", 2), (run_key_exchange, "target_bits", 2),
+        (_ber, "runs_per_gamma", 100),
+    ]
+    for value in (good + 0.5, float(good), str(good))
+])
+def test_non_integer_count_rejected(config, run, name, value):
+    # Each used to die with a bare TypeError from numpy.
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer >= "):
+        run(config, value, 1)

@@ -633,7 +633,8 @@ def crossings_by_horizon(engine):
     total = 0
     for v in engine.vehicles:
         pad = engine.lanes[v.lane][0]
-        entry = v.t0 + (pad.pad_position - v.position_at(v.t0, circuit)) % circuit / v.speed
+        t = v.arrival_time
+        entry = t + (pad.pad_position - v.position_at(t, circuit)) % circuit / v.speed
         while entry + pad.detector_latency <= engine.duration:
             total += 1
             entry = entry + circuit / v.speed
