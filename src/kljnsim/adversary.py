@@ -24,6 +24,7 @@ from .physics import (
     NoiseTrace,
     PairClass,
     as_seed_sequence,
+    require_count,
     theoretical_msv,
 )
 from .protocol import (
@@ -32,7 +33,6 @@ from .protocol import (
     _MID,
     _Periods,
     _classify,
-    _require_count,
     monitor_endpoints,
     pair_of,
     period_resistances,
@@ -167,7 +167,7 @@ def passive_sweep(
     Each strategy is scored on the kept periods, and their voltage-current
     cross-correlation, statistically zero on the ideal line, is averaged.
     """
-    _require_count("n_periods", n_periods, 2)
+    require_count("n_periods", n_periods, 2)
     if strategies is None:
         strategies = list(GuessStrategy)
     strategies = [GuessStrategy(s) for s in strategies]
@@ -250,7 +250,7 @@ def injection_sweep(
     has zero mean: that runs on the engine's ``msv_i`` row. Only a Gaussian
     injection builds each period's waveforms. Amplitude 0 draws no noise.
     """
-    _require_count("periods_per_amplitude", periods_per_amplitude, 1)
+    require_count("periods_per_amplitude", periods_per_amplitude, 1)
     waveform, relative_amplitudes = Waveform(waveform), list(relative_amplitudes)
     if any(not 0 <= rel < math.inf for rel in relative_amplitudes):
         raise InvalidParameterError("relative amplitudes must be finite and >= 0")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .physics import KljnLineConfig, require_finite
+from .physics import KljnLineConfig, require_count, require_finite
 
 _REL_TOL = 1e-9
 
@@ -98,8 +98,7 @@ class LifetimeParams:
             raise InvalidParameterError("key_length must be non-negative")
         if self.gamma < 1:
             raise InvalidParameterError("gamma must be at least 1")
-        if self.parallel_channels < 1:
-            raise InvalidParameterError("parallel_channels must be at least 1")
+        require_count("parallel_channels", self.parallel_channels, 1)
         if (self.car_count is None) != (self.kljn_unit_count is None):
             raise InvalidParameterError(
                 "car_count and kljn_unit_count must be given together"
@@ -109,6 +108,7 @@ class LifetimeParams:
                 "give either car_density or both car_count and kljn_unit_count"
             )
         if self.car_count is not None:
+            require_count("kljn_unit_count", self.kljn_unit_count, 1)
             ratio = car_density(self.car_count, self.kljn_unit_count)
             if self.car_density is None:
                 object.__setattr__(self, "car_density", ratio)

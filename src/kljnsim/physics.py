@@ -11,6 +11,7 @@ including an eavesdropper, can observe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,10 +27,21 @@ DEFAULT_OVERSAMPLE = 10.0
 
 
 def require_finite(**fields) -> None:
-    """Reject NaN and ±inf, naming the field (``from_dict`` checks JSON)."""
+    """Reject NaN, ±inf and ints too large for a float, naming the field
+    (``from_dict`` checks JSON)."""
     for name, value in fields.items():
-        if value is not None and not np.isfinite(value).all():
+        try:
+            finite = value is None or np.isfinite(value).all()
+        except TypeError:  # numpy keeps an int beyond float range as an object
+            finite = False
+        if not finite:
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Reject a non-integer, or an integer below ``least``, naming the field."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:

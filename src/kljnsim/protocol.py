@@ -21,7 +21,6 @@ alarm path; ``monitor_endpoints`` compares views an injection made differ.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
@@ -38,6 +37,7 @@ from .physics import (
     in_band_bins,
     johnson_rms,
     pair_resistances,
+    require_count,
     require_finite,
     sample_bandlimited_gaussian,
     solve_loop,
@@ -398,11 +398,6 @@ class _Periods:
         self.done -= count
 
 
-def _require_count(name: str, value, least: int) -> None:
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _stats(config: ExchangeConfig, choices: np.ndarray, level: np.ndarray) -> ExchangeStats:
     pairs = np.bincount(2 * choices[:, 0] + choices[:, 1], minlength=4)
     periods = len(level)
@@ -420,7 +415,7 @@ def run_periods(
     config: ExchangeConfig, n_periods: int, seed
 ) -> tuple[list[BitPeriodRecord], ExchangeStats]:
     """Run a fixed number of bit-sharing periods (no key assembly)."""
-    _require_count("n_periods", n_periods, 0)
+    require_count("n_periods", n_periods, 0)
     choice_seed, noise_root = as_seed_sequence(seed).spawn(2)
     drawn = np.random.default_rng(choice_seed).integers(0, 2, size=(n_periods, 2))
     records = []
@@ -449,7 +444,7 @@ def run_key_exchange(
     Raises ExchangeTimeoutError once ``timeout_factor * 2 * target_bits``
     periods have passed without reaching the target.
     """
-    _require_count("target_bits", target_bits, 0)
+    require_count("target_bits", target_bits, 0)
     choice_seed, noise_root = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(choice_seed)
     engine = _Periods(config, noise_root)
@@ -502,7 +497,7 @@ def estimate_ber(
     ground truth and counts periods whose classified band differs from the
     band implied by the true permutation. Deterministic under a fixed seed.
     """
-    _require_count("runs_per_gamma", runs_per_gamma, 100)
+    require_count("runs_per_gamma", runs_per_gamma, 100)
     root = as_seed_sequence(seed)
     out = []
     for gamma in gamma_list:

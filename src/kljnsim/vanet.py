@@ -31,7 +31,7 @@ import numpy as np
 from .config import from_dict
 from .errors import ConfigError, InvalidParameterError, TopologyError
 from .lifetime import secure_bit_rate
-from .physics import KljnLineConfig, as_seed_sequence, require_finite
+from .physics import KljnLineConfig, as_seed_sequence, require_count, require_finite
 
 
 class EventKind(str, Enum):
@@ -89,88 +89,65 @@ class Rsd:
     id: str
     line: KljnLineConfig
     parallel_channels: int = 1
-    rskps: tuple[Rskp, ...] = field(default=(), metadata={"key": None})
 
     def __post_init__(self) -> None:
         if not self.id:
             raise InvalidParameterError("an RSD needs a non-empty id")
-        if self.parallel_channels < 1:
-            raise InvalidParameterError("parallel_channels must be >= 1")
+        require_count("parallel_channels", self.parallel_channels, 1)
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Validated network layout: RSDs, their RSKPs and which of them own pools."""
-
-    rsds: tuple[Rsd, ...]
-    kljn_endpoint: str = "rsd"
-
-    def __post_init__(self) -> None:
-        if self.kljn_endpoint not in ("rsd", "rskp"):
-            raise TopologyError(
-                f"topology.kljn_endpoint: expected 'rsd' or 'rskp', got {self.kljn_endpoint!r}"
-            )
-
-    @property
-    def all_rskps(self) -> tuple[Rskp, ...]:
-        return tuple(r for rsd in self.rsds for r in rsd.rskps)
-
-    @property
-    def lanes(self) -> tuple[str, ...]:
-        return tuple(r.lane for r in self.all_rskps)
-
-
-@dataclass(frozen=True)
-class _TopologySpec:
-    """The topology JSON object: RSKPs are listed apart and name their RSD."""
-
-    rsds: tuple[Rsd, ...] = ()
-    rskps: tuple[Rskp, ...] = ()
-    kljn_endpoint: str = "rsd"
-
-
-def build_topology(spec: dict) -> Topology:
-    """Build and validate a topology from its JSON-shaped description.
-
-    Expected shape::
+    """The topology JSON object, checked on construction::
 
         {"kljn_endpoint": "rsd" | "rskp",
          "rsds":  [{"id", "line": {...}, "parallel_channels"}],
          "rskps": [{"id", "rsd", "lane", "pad_length_m", "transfer_rate_bps",
                     "detector_latency_s", "pad_position_m", "line": {...}}]}
 
-    Every error names its path below ``topology``.
+    Each RSKP names its RSD. The pools are the RSDs', or in ``rskp`` mode
+    the RSKPs', and each then needs its own line. Every error names its
+    path below ``topology``.
     """
+
+    rsds: tuple[Rsd, ...]
+    rskps: tuple[Rskp, ...] = ()
+    kljn_endpoint: str = "rsd"
+
+    def __post_init__(self) -> None:
+        if not self.rsds:
+            raise TopologyError("topology: needs at least one RSD")
+        rsd_ids = set()
+        for i, rsd in enumerate(self.rsds):
+            if rsd.id in rsd_ids:
+                raise TopologyError(f"topology.rsds[{i}]: duplicate RSD id {rsd.id!r}")
+            rsd_ids.add(rsd.id)
+        seen_ids, seen_lanes = set(), set()
+        for i, rskp in enumerate(self.rskps):
+            where = f"topology.rskps[{i}]"
+            if rskp.id in seen_ids:
+                raise TopologyError(f"{where}: duplicate RSKP id {rskp.id!r}")
+            if rskp.rsd_id not in rsd_ids:
+                raise TopologyError(f"{where}: references unknown RSD {rskp.rsd_id!r}")
+            if rskp.lane in seen_lanes:
+                raise TopologyError(f"{where}: lane {rskp.lane!r} already has an RSKP pad")
+            if self.kljn_endpoint == "rskp" and rskp.line is None:
+                raise TopologyError(
+                    f"{where}: missing line config (required in rskp endpoint mode)")
+            seen_ids.add(rskp.id)
+            seen_lanes.add(rskp.lane)
+        if self.kljn_endpoint not in ("rsd", "rskp"):
+            raise TopologyError(
+                f"topology.kljn_endpoint: expected 'rsd' or 'rskp', got {self.kljn_endpoint!r}"
+            )
+
+
+def build_topology(spec: dict) -> Topology:
+    """Parse the topology JSON object; errors name their path below ``topology``."""
     try:
-        parsed = from_dict(_TopologySpec, spec, "topology")
+        return from_dict(Topology, spec, "topology")
     except ConfigError as exc:
         raise TopologyError(str(exc)) from None
-    endpoint = parsed.kljn_endpoint
-    if not parsed.rsds:
-        raise TopologyError("topology: needs at least one RSD")
-
-    rskps_by_rsd: dict[str, list[Rskp]] = {}
-    for i, rsd in enumerate(parsed.rsds):
-        if rsd.id in rskps_by_rsd:
-            raise TopologyError(f"topology.rsds[{i}]: duplicate RSD id {rsd.id!r}")
-        rskps_by_rsd[rsd.id] = []
-    seen_ids, seen_lanes = set(), set()
-    for i, rskp in enumerate(parsed.rskps):
-        where = f"topology.rskps[{i}]"
-        if rskp.id in seen_ids:
-            raise TopologyError(f"{where}: duplicate RSKP id {rskp.id!r}")
-        if rskp.rsd_id not in rskps_by_rsd:
-            raise TopologyError(f"{where}: references unknown RSD {rskp.rsd_id!r}")
-        if rskp.lane in seen_lanes:
-            raise TopologyError(f"{where}: lane {rskp.lane!r} already has an RSKP pad")
-        if endpoint == "rskp" and rskp.line is None:
-            raise TopologyError(f"{where}: missing line config (required in rskp endpoint mode)")
-        seen_ids.add(rskp.id)
-        seen_lanes.add(rskp.lane)
-        rskps_by_rsd[rskp.rsd_id].append(rskp)
-
-    rsds = tuple(replace(rsd, rskps=tuple(rskps_by_rsd[rsd.id])) for rsd in parsed.rsds)
-    return Topology(rsds=rsds, kljn_endpoint=endpoint)
 
 
 @dataclass(frozen=True)
@@ -210,8 +187,7 @@ class TrafficModel:
         lo, hi = self.speed_range
         if lo <= 0 or hi < lo:
             raise InvalidParameterError("speed_range must satisfy 0 < lo <= hi")
-        if self.initial_vehicles_per_lane < 0:
-            raise InvalidParameterError("initial_vehicles_per_lane must be >= 0")
+        require_count("initial_vehicles_per_lane", self.initial_vehicles_per_lane, 0)
         if self.mean_dwell_s is not None and self.mean_dwell_s <= 0:
             raise InvalidParameterError("mean_dwell_s must be positive when given")
         if self.key_ttl_s < 0:
@@ -230,8 +206,7 @@ class ProtocolParams:
         require_finite(gamma=self.gamma)
         if self.gamma < 1:
             raise InvalidParameterError("gamma must be at least 1")
-        if self.key_bits < 1:
-            raise InvalidParameterError("key_bits must be at least 1")
+        require_count("key_bits", self.key_bits, 1)
 
 
 @dataclass(frozen=True)
@@ -242,8 +217,8 @@ class PoolParams:
     initial_fill: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_bits is not None and self.capacity_bits < 1:
-            raise InvalidParameterError("capacity_bits must be positive")
+        if self.capacity_bits is not None:
+            require_count("capacity_bits", self.capacity_bits, 1)
         if not 0.0 <= self.initial_fill <= 1.0:
             raise InvalidParameterError("initial_fill must lie in [0, 1]")
 
@@ -399,17 +374,20 @@ class _Engine:
         self.max_concurrent_total = 0
         self.concurrent_total = 0
 
+        # Lanes and pools (so the draws) go in RSD order, then listed order
+        # within an RSD: interleaving the RSKPs of two RSDs changes nothing.
+        rank = {rsd.id: i for i, rsd in enumerate(topology.rsds)}
+        rskps = sorted(topology.rskps, key=lambda rskp: rank[rskp.rsd_id])
+
         # One pool per owning unit (each RSD, or each RSKP in rskp mode),
         # filled at its line's secure bit rate; refills add whole keys.
         by_rskp = topology.kljn_endpoint == "rskp"
-        owners = [(unit, rsd) for rsd in topology.rsds
-                  for unit in (rsd.rskps if by_rskp else (rsd,))]
+        owners = ([(rskp, topology.rsds[rank[rskp.rsd_id]]) for rskp in rskps]
+                  if by_rskp else [(rsd, rsd) for rsd in topology.rsds])
         capacity = pool_params.capacity_for(key_bits)
         initial = int(round(pool_params.initial_fill * capacity))
         self.pools: dict[str, KeyPool] = {}
         for (unit, rsd), unit_seed in zip(owners, keys_root.spawn(len(owners))):
-            if unit.line is None:
-                raise TopologyError("rskp endpoint mode needs a line per RSKP")
             rate = secure_bit_rate(unit.line.noise_bandwidth, protocol.gamma, rsd.parallel_channels)
             pool = self.pools[unit.id] = KeyPool(
                 rsd_id=rsd.id, fill_rate=rate, capacity=capacity, available=initial,
@@ -424,14 +402,14 @@ class _Engine:
                 self.pools[rskp.id if by_rskp else rskp.rsd_id],
                 self.rsd_metrics[rskp.rsd_id],
             )
-            for rskp in topology.all_rskps
+            for rskp in rskps
         }
 
         # Initial population, then the Poisson streams.
-        for lane in topology.lanes:
+        for lane in self.lanes:
             for _ in range(traffic.initial_vehicles_per_lane):
                 self._push(0.0, self._on_arrival, (lane, "initial"))
-        for lane in topology.lanes:
+        for lane in self.lanes:
             if traffic.arrival_rate_per_lane > 0:
                 gap = self.traffic_rng.exponential(1.0 / traffic.arrival_rate_per_lane)
                 self._push(gap, self._on_arrival, (lane, "poisson"))
@@ -692,7 +670,7 @@ class _Engine:
 
 
 def run_scenario(
-    topology,
+    topology: Topology,
     traffic: TrafficModel,
     duration_s: float,
     seed,
@@ -703,12 +681,9 @@ def run_scenario(
 ) -> NetworkMetrics:
     """Run one deterministic scenario and aggregate its metrics.
 
-    ``topology`` may be a validated Topology or its JSON-shaped dict. Each
-    pool fills at ``secure_bit_rate`` of its owner's line under
+    Each pool fills at ``secure_bit_rate`` of its owner's line under
     ``protocol.gamma``. Donation failures are metrics, not errors.
     """
-    if isinstance(topology, dict):
-        topology = build_topology(topology)
     engine = _Engine(
         topology, traffic, duration_s, seed, protocol, pool,
         record_events, record_donations,
@@ -717,10 +692,10 @@ def run_scenario(
 
 
 @dataclass(frozen=True)
-class _ScenarioSpec:
-    """The scenario JSON object, with its topology still JSON-shaped."""
+class Scenario:
+    """The scenario JSON object: topology, horizon, traffic, protocol, pool, seed."""
 
-    topology: dict
+    topology: Topology
     duration_s: float
     traffic: TrafficModel = TrafficModel()
     protocol: ProtocolParams = ProtocolParams()
@@ -731,31 +706,15 @@ class _ScenarioSpec:
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise InvalidParameterError("duration_s must be positive")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be non-negative")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A complete scenario: topology, traffic, protocol, pool, horizon, seed."""
-
-    topology: Topology
-    traffic: TrafficModel
-    protocol: ProtocolParams
-    pool: PoolParams
-    duration_s: float
-    seed: int
-    record_events: bool = False
+        require_count("seed", self.seed, 0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """Parse the scenario JSON object, naming the offending path on error."""
-        spec = from_dict(_ScenarioSpec, d, "scenario")
         try:
-            topology = build_topology(spec.topology)
+            return from_dict(cls, d, "scenario")
         except TopologyError as exc:
-            raise ConfigError(f"scenario.{exc}") from exc
-        return cls(**{**vars(spec), "topology": topology})
+            raise ConfigError(f"scenario.{exc}") from None
 
     def run(self, seed=None, record_events=None, record_donations=False) -> NetworkMetrics:
         return run_scenario(

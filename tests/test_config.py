@@ -132,10 +132,10 @@ ACCEPTED_KEYS = [
         "car_count", "kljn_unit_count", "car_density", "parallel_channels",
     }),
     (KljnLineConfig, {"r_low", "r_high", "t_eff", "line_length", "wave_speed", "theta"}),
-    (vanet._ScenarioSpec, {
+    (vanet.Scenario, {
         "topology", "traffic", "protocol", "pool", "duration_s", "seed", "record_events",
     }),
-    (vanet._TopologySpec, {"kljn_endpoint", "rsds", "rskps"}),
+    (vanet.Topology, {"kljn_endpoint", "rsds", "rskps"}),
     (vanet.Rsd, {"id", "line", "parallel_channels"}),
     (vanet.Rskp, {
         "id", "rsd", "lane", "pad_length_m", "transfer_rate_bps",
@@ -177,7 +177,7 @@ def test_shipped_configs_found():
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_parses(path):
     scenario = Scenario.from_dict(json.loads(path.read_text()))
-    assert scenario.topology.all_rskps
+    assert scenario.topology.rskps
 
 
 def test_readme_config_examples_parse():
@@ -186,4 +186,4 @@ def test_readme_config_examples_parse():
     protocol, scenario = (json.loads(block) for block in blocks)
     for cls in (cli._ExchangeCommand, cli._AttackCommand, cli._BerCommand):
         from_dict(cls, protocol, "config")
-    assert Scenario.from_dict(scenario).topology.all_rskps
+    assert Scenario.from_dict(scenario).topology.rskps

@@ -223,8 +223,20 @@ class TestNonFiniteRejected:
         "theta", "wave_speed", "line_length", "gamma", "key_length", "car_count",
         "kljn_unit_count", "car_density", "parallel_channels",
     ])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(10**400, id="1e400")])
     def test_field_named(self, field, value):
         # NaN used to pass every range check: gamma=nan gave a NaN lifetime.
+        # An int beyond float range used to raise numpy's bare TypeError.
         with pytest.raises(InvalidParameterError, match=f"^{field} must be finite"):
             LifetimeParams(**{**WORKED, field: value})
+
+
+@pytest.mark.parametrize("field, counts", [
+    ("parallel_channels", dict(car_density=10, parallel_channels=1.5)),
+    ("kljn_unit_count", dict(car_count=5, kljn_unit_count=2.5)),
+], ids=["parallel_channels", "kljn_unit_count"])
+def test_non_integer_count_rejected(field, counts):
+    # A hand-built 1.5 channels used to report 150 bit/s, and 2.5 units a
+    # density of 2.0.
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer >= 1, "):
+        LifetimeParams(**counts)

@@ -25,7 +25,8 @@ from kljnsim import (
 )
 from kljnsim.cli import _fmt, main as cli_main
 from kljnsim.lifetime import secure_bit_rate
-from kljnsim.vanet import EventKind, Rskp, Topology, _Engine
+from kljnsim.physics import KljnLineConfig
+from kljnsim.vanet import EventKind, Rsd, Rskp, Topology, _Engine
 
 
 def one_rsd_spec(**rskp_overrides):
@@ -53,10 +54,10 @@ class TestBuildTopology:
 
     def test_no_rskps_is_valid(self):
         topo = build_topology({"rsds": [{"id": "r", "line": {}}]})
-        assert topo.all_rskps == ()
+        assert topo.rskps == ()
 
     def test_no_rskps_means_no_donations(self):
-        topo = {"rsds": [{"id": "r1", "line": {}}]}
+        topo = build_topology({"rsds": [{"id": "r1", "line": {}}]})
         metrics = run_scenario(
             topo, TrafficModel(initial_vehicles_per_lane=5), 100.0, 1
         )
@@ -82,9 +83,9 @@ class TestBuildTopology:
         assert generated_bits(build_topology(spec)) == 10_000
 
     def test_hand_built_rskp_mode_without_line_rejected(self):
-        topo = dataclasses.replace(build_topology(one_rsd_spec()), kljn_endpoint="rskp")
-        with pytest.raises(TopologyError, match="line per RSKP"):
-            run_scenario(topo, TrafficModel(), 100.0, 1)
+        topo = build_topology(one_rsd_spec())
+        with pytest.raises(TopologyError, match="missing line config"):
+            dataclasses.replace(topo, kljn_endpoint="rskp")
 
     def test_hand_built_bad_endpoint_rejected(self):
         rsds = build_topology(one_rsd_spec()).rsds
@@ -110,11 +111,10 @@ class TestBuildTopology:
 
     @pytest.mark.parametrize("endpoint", ["rsd", "rskp"])
     def test_pools_fill_at_protocol_gamma(self, endpoint):
-        # The dict and the built topology fill at the protocol's one gamma:
+        # Every pool fills at the protocol's one gamma:
         # 100 bit/s at gamma 100 becomes 200 bit/s at gamma 50.
         spec = one_rsd_spec(line={})
         spec["kljn_endpoint"] = endpoint
-        assert generated_bits(spec, gamma=50.0) == 20_000
         assert generated_bits(build_topology(spec), gamma=50.0) == 20_000
 
     def test_duplicate_ids_rejected(self):
@@ -217,7 +217,7 @@ class TestDetection:
         engine = _Engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol,
                          s.pool, record_events=True, record_donations=False)
         metrics = engine.run()
-        pad = s.topology.all_rskps[0].pad_position
+        pad = s.topology.rskps[0].pad_position
         circuit = s.traffic.circuit_length
         # Queued requests that expire fail later, away from the pad.
         requests = [e for e in metrics.events
@@ -505,6 +505,13 @@ def churn_spec(endpoint="rsd"):
     }
 
 
+def interleaved(spec):
+    """``spec`` with its RSKPs listed out of RSD order."""
+    r = spec["topology"]["rskps"]
+    spec["topology"]["rskps"] = [r[2], r[0], r[3], r[1]]
+    return spec
+
+
 # sha256 of metrics.csv, rsd_metrics.csv and events.csv (None: not written).
 # Key values never steer the event loop, so a change of key representation
 # or of engine internals must leave every byte of these files as it is.
@@ -547,6 +554,20 @@ PINNED_OUTPUTS = {
     ),
     "churn-rskp": (
         churn_spec("rskp"),
+        ("ef93e884ca255d7a27bc21eb08a7770793a7a9833fc841dcaad9144dc4b1d209",
+         "06d06de0adbd759bc0992650aa723c8908c24f1d40e03ea826b34bec05c6f862",
+         "48065110ec6514cc12e0d6540ad106f8c511eeee2f4f30c2e333e32177276b90"),
+    ),
+    # Setup runs in RSD order, then in listed order within an RSD, so
+    # listing the RSKPs interleaved changes no byte.
+    "churn-interleaved": (
+        interleaved(churn_spec()),
+        ("02a90634cd96661aee48d5aeb381fda46ee94e7287ec2004bc9fbdca82768fdb",
+         "8dac60f8101f059a7af52a85646cfbf24e2b7f4e680997cf479d09f0ebdb542e",
+         "b36c0fc3a2d92ce4bd8b52130472d648e39ae1f093a5259639e7b473451671b1"),
+    ),
+    "churn-rskp-interleaved": (
+        interleaved(churn_spec("rskp")),
         ("ef93e884ca255d7a27bc21eb08a7770793a7a9833fc841dcaad9144dc4b1d209",
          "06d06de0adbd759bc0992650aa723c8908c24f1d40e03ea826b34bec05c6f862",
          "48065110ec6514cc12e0d6540ad106f8c511eeee2f4f30c2e333e32177276b90"),
@@ -754,6 +775,24 @@ class TestNonFiniteRejected:
         with pytest.raises(InvalidParameterError, match="^duration_s must be finite"):
             _Engine(s.topology, s.traffic, duration, 1, s.protocol, s.pool,
                     record_events=False, record_donations=False)
+
+
+NON_INTEGER = [
+    (ProtocolParams, "key_bits", 2.5), (ProtocolParams, "key_bits", "100"),
+    (PoolParams, "capacity_bits", 250.5), (TrafficModel, "initial_vehicles_per_lane", 1.5),
+    (functools.partial(Rsd, id="r", line=KljnLineConfig()), "parallel_channels", 1.5),
+    (functools.partial(Scenario, topology=build_topology(one_rsd_spec()), duration_s=1.0),
+     "seed", 1.5),
+]
+
+
+@pytest.mark.parametrize("make, field, value", [
+    pytest.param(*case, id=f"{case[1]}={case[2]!r}") for case in NON_INTEGER
+])
+def test_non_integer_count_rejected(make, field, value):
+    # Hand-built configs used to accept these, which from_dict rejects.
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer >= "):
+        make(**{field: value})
 
 
 def test_window_never_empty_when_lap_underflows():
