@@ -5,11 +5,13 @@ bits, ``protocol._Periods`` for the levels, ``protocol._classify`` for the
 bands and ``adversary._guesses_lh`` for Eve's guesses. The forms here work
 one period (or one observation) at a time, with the waveform path for the
 levels, and the tests hold the array forms to them. The per-period loops
-built from them sit in ``test_period_engine.py``.
+built from them sit in ``test_period_engine.py``. ``HeapEngine`` is the
+network engine with every event, pad crossings included, on one heap.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -36,6 +38,7 @@ from kljnsim.adversary import (
 )
 from kljnsim.physics import as_seed_sequence
 from kljnsim.protocol import BitPeriodRecord, period_resistances, synthesize_period
+from kljnsim.vanet import _Engine
 
 
 def choose_resistors(rng: np.random.Generator) -> tuple[Resistor, Resistor]:
@@ -200,3 +203,26 @@ def injection_sweep(
             )
         )
     return out
+
+
+class HeapEngine(_Engine):
+    """``vanet._Engine`` on one heap: each pad crossing is pushed as it is
+    scheduled, and ``run`` pops events in plain (time, sequence) order."""
+
+    crossings_pushed = 0
+
+    def _cross(self, time, vehicle, entry):
+        if time <= self.duration:
+            self.crossings_pushed += 1
+        self._push(time, self._on_key_request, (vehicle, entry))
+
+    def run(self):
+        heap = self.heap
+        while heap:
+            time, _, handler, payload = heapq.heappop(heap)
+            handler(time, *payload)
+        for pool in self.pools.values():
+            while pool.pending:
+                vehicle, _ = pool.pending.popleft()
+                self._fail(self.duration, vehicle, "pool-empty")
+        return self._metrics()

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kljnsim import (
     ConfigError,
@@ -27,6 +28,7 @@ from kljnsim.cli import _fmt, main as cli_main
 from kljnsim.lifetime import secure_bit_rate
 from kljnsim.physics import KljnLineConfig
 from kljnsim.vanet import EventKind, Rsd, Rskp, Topology, _Engine
+from oracles import HeapEngine
 
 
 def one_rsd_spec(**rskp_overrides):
@@ -635,14 +637,15 @@ def test_events_csv_matches_cell_oracle(endpoint, tmp_path):
     assert (out / "events.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
-def tie_engine(duration_s=1000.0):
-    """One vehicle enters the pad at 1.0 s and laps in exactly 100 s, so its
-    crossings land at 1, 101, 201, ... s: on the 1 s pool refills."""
-    traffic = TrafficModel(circuit_length=3000.0, speed_range=(30.0, 30.0),
+def tie_engine(duration_s=1000.0, circuit_length=3000.0, engine=_Engine):
+    """One vehicle enters the pad at 1.0 s and laps in circuit/30 s: at the
+    default 100 s its crossings land at 1, 101, 201, ... s, on the 1 s pool
+    refills."""
+    traffic = TrafficModel(circuit_length=circuit_length, speed_range=(30.0, 30.0),
                            arrival_rate_per_lane=1e-9)
-    engine = _Engine(build_topology(one_rsd_spec()), traffic, duration_s, 1,
-                     ProtocolParams(), PoolParams(initial_fill=0.0),
-                     record_events=True, record_donations=False)
+    engine = engine(build_topology(one_rsd_spec()), traffic, duration_s, 1,
+                    ProtocolParams(), PoolParams(initial_fill=0.0),
+                    record_events=True, record_donations=False)
     engine._push(1.0, engine._on_arrival, ("lane-1", "poisson"))
     return engine
 
@@ -662,9 +665,9 @@ def crossings_by_horizon(engine):
     return total
 
 
-def window_edge_engine(name):
+def window_edge_engine(name, engine=_Engine, record_events=False):
     if name == "tie":
-        return tie_engine(duration_s=901.0)
+        return tie_engine(duration_s=901.0, engine=engine)
     spec = small_scenario()
     traffic = spec["traffic"]
     traffic.update(initial_vehicles_per_lane=40, circuit_length=1200.0)
@@ -674,8 +677,8 @@ def window_edge_engine(name):
         traffic.update(speed_range=[25.0, 35.0], arrival_rate_per_lane=0.02)
         spec["topology"]["rskps"][0].update(detector_latency_s=0.05, pad_position_m=1234.5)
     s = Scenario.from_dict(spec)
-    return _Engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol, s.pool,
-                   record_events=False, record_donations=False)
+    return engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol, s.pool,
+                  record_events=record_events, record_donations=False)
 
 
 class TestEventOrder:
@@ -693,6 +696,15 @@ class TestEventOrder:
         assert hashlib.sha256((rows + summary).encode()).hexdigest() == (
             "56a7465ce2798611dcd1619e8d852ec90c983d8180ff4e1f9a1da107bd9db69f")
 
+    def test_heap_event_ties_run_before_waiting_crossing(self):
+        # On a 0.5 s lap the 3.0 s refill was pushed at 2.0 s, before the
+        # 3.0 s crossing (pushed at 2.5 s), so the refill runs first even
+        # though the crossing waits outside the heap.
+        metrics = tie_engine(duration_s=10.0, circuit_length=15.0).run()
+        assert [e.detail if e.kind is EventKind.KEY_REQUEST else e.kind.value
+                for e in metrics.events if e.time == 3.0] == [
+            "pool-refill", "fail:pool-empty", "granted", "donation-start"]
+
     @pytest.mark.parametrize("name", ["lap-equals-window", "latency-pad-offset", "tie"])
     def test_every_crossing_runs_once(self, name):
         # With keys that expire at once, no departures and provisioned keys,
@@ -702,6 +714,80 @@ class TestEventOrder:
         metrics = engine.run()
         assert metrics.skipped_valid_key == 0
         assert metrics.donation_attempts == crossings_by_horizon(engine) > 0
+
+
+@st.composite
+def small_scenarios(draw):
+    """Scenario JSON objects of 1-3 RSDs and 1-4 lanes in either endpoint
+    mode, with drawn detector latencies, pad offsets, speeds, TTLs, churn
+    and key lengths, small enough that a run has at most MAX_CROSSINGS
+    pad crossings."""
+    rsd_count = draw(st.integers(1, 3))
+    endpoint = draw(st.sampled_from(["rsd", "rskp"]))
+    line = st.sampled_from([{"line_length": 10_000.0}, {"line_length": 80_000.0}])
+    circuit = draw(st.sampled_from([300.0, 1200.0, 3000.0]))
+    rskps = []
+    for i in range(draw(st.integers(1, 4))):
+        rskp = {"id": f"rskp-{i + 1}", "rsd": f"rsd-{draw(st.integers(1, rsd_count))}",
+                "lane": f"lane-{i + 1}", "pad_length_m": 2.0, "transfer_rate_bps": 1e6,
+                "detector_latency_s": draw(st.sampled_from([0.0, 0.05, 0.07])),
+                "pad_position_m": draw(st.floats(0.0, 1.0)) * circuit}
+        if endpoint == "rskp":
+            rskp["line"] = draw(line)
+        rskps.append(rskp)
+    low = draw(st.sampled_from([25.0, 30.0]))
+    churn = draw(st.booleans())
+    return {
+        "duration_s": draw(st.sampled_from([300.0, 600.0])),
+        "seed": draw(st.integers(0, 2**16)),
+        "protocol": {"key_bits": draw(st.sampled_from([8, 100]))},
+        "topology": {
+            "kljn_endpoint": endpoint,
+            "rsds": [{"id": f"rsd-{i + 1}", "line": draw(line)} for i in range(rsd_count)],
+            "rskps": rskps,
+        },
+        "traffic": {
+            "circuit_length": circuit,
+            "speed_range": [low, draw(st.sampled_from([low, 35.0]))],
+            "initial_vehicles_per_lane": draw(st.integers(1, 8)),
+            "arrival_rate_per_lane": 0.02 if churn else 0.0,
+            "mean_dwell_s": 150.0 if churn else None,
+            "provision_keys": draw(st.sampled_from([True, True, True, False])),
+            "key_ttl_s": draw(st.sampled_from([0.0, 5.0, 600.0])),
+        },
+        "pool": {"capacity_bits": 800, "initial_fill": draw(st.sampled_from([0.0, 0.5]))},
+    }
+
+
+MAX_CROSSINGS = 4000
+
+
+def heap_oracle_agrees(make):
+    """Run ``make(engine_class)`` on the batched engine and on the one-heap
+    oracle; metrics and the whole event log must be equal."""
+    oracle = make(HeapEngine)
+    expected = oracle.run()
+    assert make(_Engine).run() == expected
+    assert oracle.crossings_pushed <= MAX_CROSSINGS
+    return expected
+
+
+class TestHeapOracle:
+    @pytest.mark.parametrize("circuit", [3000.0, 15.0])
+    def test_tie_engines(self, circuit):
+        assert heap_oracle_agrees(
+            lambda engine: tie_engine(circuit_length=circuit, engine=engine)).events
+
+    @pytest.mark.parametrize("name", ["lap-equals-window", "latency-pad-offset", "tie"])
+    def test_window_edge_shapes(self, name):
+        heap_oracle_agrees(lambda engine: window_edge_engine(name, engine, record_events=True))
+
+    @given(spec=small_scenarios())
+    def test_drawn_scenarios(self, spec):
+        s = Scenario.from_dict(spec)
+        heap_oracle_agrees(lambda engine: engine(
+            s.topology, s.traffic, s.duration_s, s.seed, s.protocol, s.pool,
+            record_events=True, record_donations=False))
 
 
 INVARIANT_SPECS = {
