@@ -18,6 +18,7 @@ with ``--runs N`` each run r gets its own seed stream derived from
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -31,10 +32,11 @@ from .errors import ConfigError
 from .lifetime import LifetimeParams, key_lifetime
 from .physics import as_seed_sequence
 from .protocol import ExchangeConfig, estimate_ber, run_key_exchange
-from .vanet import EventKind, Scenario, make_homogeneous_scenario
+from .vanet import EventKind, NetworkMetrics, Scenario, _Engine, make_homogeneous_scenario
 
 DEFAULT_SEED = 12345
 _KIND_NAMES = {kind: kind.value for kind in EventKind}
+_CHUNK_ROWS = 4096
 
 
 def _fmt(value) -> str:
@@ -164,7 +166,10 @@ def cmd_simulate(config: dict, seed, outdir: Path, suffix: str) -> None:
             initial_fill=0.0,
         )
     scenario = Scenario.from_dict(config)
-    metrics = scenario.run(seed=seed)
+    if scenario.record_events:
+        metrics = _run_streaming_events(scenario, seed, outdir / f"events{suffix}.csv")
+    else:
+        metrics = scenario.run(seed=seed)
     _write_csv(
         outdir / f"metrics{suffix}.csv",
         [
@@ -200,17 +205,35 @@ def cmd_simulate(config: dict, seed, outdir: Path, suffix: str) -> None:
             for rsd_id, m in sorted(metrics.per_rsd.items())
         ],
     )
-    if metrics.events is not None:
-        # The one large file: one f-string per row, equal to ``_line`` cell by cell.
-        _write_csv(
-            outdir / f"events{suffix}.csv",
-            ["time_s", "sequence", "kind", "vehicle_id", "rsd_id", "lane", "detail"],
-            (
-                f"{time:.12g},{seq},{_KIND_NAMES[kind]},{'' if vid is None else vid},"
-                f"{'' if rsd is None else rsd},{'' if lane is None else lane},{detail}\n"
-                for time, seq, kind, vid, rsd, lane, detail in metrics.events
-            ),
+
+
+def _run_streaming_events(scenario: Scenario, seed, path: Path) -> NetworkMetrics:
+    """Run ``scenario``, writing each event row to ``path`` as it happens.
+
+    The engine is built, and so every config error raised, before the
+    file opens. Rows go out in chunks of ``_CHUNK_ROWS`` lines."""
+    rows: list[str] = []
+    sequence = itertools.count()
+
+    def log(time, kind, vid, rsd, lane, detail):
+        # One f-string per row, equal to ``_line`` cell by cell.
+        rows.append(
+            f"{time:.12g},{next(sequence)},{_KIND_NAMES[kind]},{'' if vid is None else vid},"
+            f"{'' if rsd is None else rsd},{'' if lane is None else lane},{detail}\n"
         )
+        if len(rows) >= _CHUNK_ROWS:
+            handle.writelines(rows)
+            rows.clear()
+
+    engine = _Engine(
+        scenario.topology, scenario.traffic, scenario.duration_s, seed,
+        scenario.protocol, scenario.pool, log, False,
+    )
+    with path.open("w", newline="\n") as handle:
+        handle.write("time_s,sequence,kind,vehicle_id,rsd_id,lane,detail\n")
+        metrics = engine.run()
+        handle.writelines(rows)
+    return metrics
 
 
 def cmd_attack(config: dict, seed, outdir: Path, suffix: str) -> None:

@@ -333,7 +333,10 @@ class _Engine:
     takes the waiting ``(time, sequence, vehicle, entry)`` crossings (one per
     vehicle) a lap-long window at a time and merges them, sorted, with the
     heap. Each keeps the sequence number a push would have given it, so the
-    order is a single heap's, ties included."""
+    order is a single heap's, ties included.
+
+    ``log``, when not None, is called once per event row as
+    ``log(time, kind, vehicle_id, rsd_id, lane, detail)``, in row order."""
 
     def __init__(
         self,
@@ -343,17 +346,19 @@ class _Engine:
         seed,
         protocol: ProtocolParams,
         pool_params: PoolParams,
-        record_events: bool,
+        log,
         record_donations: bool,
     ):
         require_finite(duration_s=duration_s)
         if duration_s <= 0:
             raise InvalidParameterError("duration_s must be positive")
-        self.lap = traffic.circuit_length / traffic.speed_range[1]
+        self.circuit = traffic.circuit_length
+        self.ttl = traffic.key_ttl_s
+        self.lap = self.circuit / traffic.speed_range[1]
         self.traffic = traffic
         self.duration = float(duration_s)
         self.key_bits = key_bits = protocol.key_bits
-        self.record_events = record_events
+        self.log = log
         self.record_donations = record_donations
 
         root = as_seed_sequence(seed)
@@ -366,7 +371,6 @@ class _Engine:
         self.window_end = -math.inf
         self.seq = itertools.count()
         self.vehicles: list[Vehicle] = []
-        self.events: list[ScenarioEvent] = []
         self.donations: list[DonationRecord] = []
         self.skipped_valid_key = 0
         self.concurrent = {rsd.id: 0 for rsd in topology.rsds}
@@ -429,11 +433,6 @@ class _Engine:
             else:
                 self.crossings.append((time, seq, vehicle, entry))
 
-    def _log(self, time, kind, vehicle_id, rsd_id, lane, detail=""):
-        """Append one event row; callers check ``record_events`` first."""
-        events = self.events
-        events.append(ScenarioEvent(time, len(events), kind, vehicle_id, rsd_id, lane, detail))
-
     # -- event handlers ---------------------------------------------------
 
     def _on_arrival(self, t: float, lane: str, source: str) -> None:
@@ -466,69 +465,57 @@ class _Engine:
             dwell = self.traffic_rng.exponential(traffic.mean_dwell_s)
             self._push(t + dwell, self._on_departure, (vehicle,))
 
-        if self.record_events:
-            self._log(t, EventKind.VEHICLE_ARRIVAL, vid, rskp.rsd_id, lane, source)
-        circuit = traffic.circuit_length
+        if self.log:
+            self.log(t, EventKind.VEHICLE_ARRIVAL, vid, rskp.rsd_id, lane, source)
+        circuit = self.circuit
         entry = t + (rskp.pad_position - vehicle.position_at(t, circuit)) % circuit / speed
         self._cross(entry + rskp.detector_latency, vehicle, entry)
-
-    def _fail(self, t: float, vehicle: Vehicle, cause: str) -> None:
-        rskp, _, rm = self.lanes[vehicle.lane]
-        if cause == "pool-empty":
-            rm.fail_pool_empty += 1
-        elif cause == "window-too-short":
-            rm.fail_window_too_short += 1
-        else:
-            rm.fail_no_former_key += 1
-        if self.record_events:
-            self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
-                      f"fail:{cause}")
 
     def _on_key_request(self, t: float, vehicle: Vehicle, entry: float) -> None:
         if vehicle.departed_at is not None:
             return
-        rskp, pool, _ = self.lanes[vehicle.lane]
+        rskp, pool, rm = self.lanes[vehicle.lane]
         speed = vehicle.speed
         # The next lap's pad entry and its detector report.
-        next_entry = entry + self.traffic.circuit_length / speed
+        next_entry = entry + self.circuit / speed
         self._cross(next_entry + rskp.detector_latency, vehicle, next_entry)
 
-        log = self.record_events
-        if (
-            vehicle.current_key is not None
-            and t - vehicle.key_issued_at < self.traffic.key_ttl_s
-        ):
+        log = self.log
+        key = vehicle.current_key
+        if key is not None and t - vehicle.key_issued_at < self.ttl:
             self.skipped_valid_key += 1
             if log:
-                self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
-                          "skipped-valid-key")
+                log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
+                    "skipped-valid-key")
             return
 
         key_bits = self.key_bits
         latest_start = entry + rskp.pad_length / speed - key_bits / rskp.transfer_rate
         if t > latest_start:
-            self._fail(t, vehicle, "window-too-short")
-        elif vehicle.current_key is None:
-            self._fail(t, vehicle, "no-former-key")
+            rm.fail_window_too_short += 1
+            detail = "fail:window-too-short"
+        elif key is None:
+            rm.fail_no_former_key += 1
+            detail = "fail:no-former-key"
         elif pool.available >= key_bits:
             if log:
-                self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
-                          "granted")
+                log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane, "granted")
             self._start_donation(t, vehicle, rskp, pool)
+            return
         else:
             if not pool.pending:
                 pool.depletion_episodes += 1
             pool.pending.append((vehicle, latest_start))
-            if log:
-                self._log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
-                          "queued")
+            detail = "queued"
+        if log:
+            log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane, detail)
 
     def _start_donation(self, t: float, vehicle: Vehicle, rskp: Rskp, pool: KeyPool) -> None:
         key_bits = self.key_bits
         pool.available -= key_bits
         new_key = pool.keys.getrandbits(key_bits)
-        if self.record_events:
-            self._log(t, EventKind.DONATION_START, vehicle.id, rskp.rsd_id, rskp.lane)
+        if self.log:
+            self.log(t, EventKind.DONATION_START, vehicle.id, rskp.rsd_id, rskp.lane, "")
         self._push(
             t + key_bits / rskp.transfer_rate,
             self._on_donation_complete,
@@ -556,24 +543,25 @@ class _Engine:
                 DonationRecord(t, vehicle.id, rskp.rsd_id, rskp.id, rskp.lane,
                                ciphertext, new_key, former)
             )
-        if self.record_events:
-            if self.traffic.key_ttl_s > 0:
-                self._push(t + self.traffic.key_ttl_s, self._on_key_expiry, (vehicle, t))
-            self._log(t, EventKind.DONATION_COMPLETE, vehicle.id, rskp.rsd_id, rskp.lane)
+        if self.log:
+            if self.ttl > 0:
+                self._push(t + self.ttl, self._on_key_expiry, (vehicle, t))
+            self.log(t, EventKind.DONATION_COMPLETE, vehicle.id, rskp.rsd_id, rskp.lane, "")
 
     def _on_pool_refill(self, t: float, pool: KeyPool) -> None:
         key_bits = self.key_bits
         pool.generated += key_bits
         pool.available = min(pool.capacity, pool.available + key_bits)
-        if self.record_events:
-            self._log(t, EventKind.POOL_REFILL, None, pool.rsd_id, None,
-                      f"available={pool.available}")
+        log = self.log
+        if log:
+            log(t, EventKind.POOL_REFILL, None, pool.rsd_id, None,
+                f"available={pool.available}")
         pending = pool.pending
         while pending:
             vehicle, latest_start = pending[0]
             if vehicle.departed_at is not None or t > latest_start:
                 pending.popleft()
-                self._fail(t, vehicle, "pool-empty")
+                self._pool_empty(t, pool, vehicle)
             elif pool.available >= key_bits:
                 pending.popleft()
                 self._start_donation(t, vehicle, self.lanes[vehicle.lane][0], pool)
@@ -581,11 +569,18 @@ class _Engine:
                 break
         self._push(t + key_bits / pool.fill_rate, self._on_pool_refill, (pool,))
 
+    def _pool_empty(self, t: float, pool: KeyPool, vehicle: Vehicle) -> None:
+        """A queued request left the queue without a key."""
+        self.rsd_metrics[pool.rsd_id].fail_pool_empty += 1
+        if self.log:
+            self.log(t, EventKind.KEY_REQUEST, vehicle.id, pool.rsd_id, vehicle.lane,
+                     "fail:pool-empty")
+
     def _on_key_expiry(self, t: float, vehicle: Vehicle, issued_at: float) -> None:
         # Scheduled only while the event log is on.
         if vehicle.key_issued_at == issued_at:
             rskp = self.lanes[vehicle.lane][0]
-            self._log(t, EventKind.KEY_EXPIRY, vehicle.id, rskp.rsd_id, vehicle.lane)
+            self.log(t, EventKind.KEY_EXPIRY, vehicle.id, rskp.rsd_id, vehicle.lane, "")
 
     def _on_departure(self, t: float, vehicle: Vehicle) -> None:
         if vehicle.departed_at is not None:
@@ -594,8 +589,8 @@ class _Engine:
         rsd_id = self.lanes[vehicle.lane][0].rsd_id
         self.concurrent[rsd_id] -= 1
         self.concurrent_total -= 1
-        if self.record_events:
-            self._log(t, EventKind.DEPARTURE, vehicle.id, rsd_id, vehicle.lane)
+        if self.log:
+            self.log(t, EventKind.DEPARTURE, vehicle.id, rsd_id, vehicle.lane, "")
 
     # -- main loop --------------------------------------------------------
 
@@ -626,8 +621,7 @@ class _Engine:
                 handler(time, *payload)
         for pool in self.pools.values():
             while pool.pending:
-                vehicle, _ = pool.pending.popleft()
-                self._fail(self.duration, vehicle, "pool-empty")
+                self._pool_empty(self.duration, pool, pool.pending.popleft()[0])
         return self._metrics()
 
     def _metrics(self) -> NetworkMetrics:
@@ -664,7 +658,6 @@ class _Engine:
             mean_refresh_interval_s=refresh_sum / refresh_count if refresh_count else 0.0,
             max_refresh_interval_s=refresh_max,
             per_rsd=per_rsd,
-            events=self.events if self.record_events else None,
             donations=self.donations if self.record_donations else None,
         )
 
@@ -684,11 +677,21 @@ def run_scenario(
     Each pool fills at ``secure_bit_rate`` of its owner's line under
     ``protocol.gamma``. Donation failures are metrics, not errors.
     """
+    events = [] if record_events else None
     engine = _Engine(
         topology, traffic, duration_s, seed, protocol, pool,
-        record_events, record_donations,
+        _collector(events) if record_events else None, record_donations,
     )
-    return engine.run()
+    metrics = engine.run()
+    metrics.events = events
+    return metrics
+
+
+def _collector(events: list):
+    """An engine ``log`` that appends each row to ``events``, numbered by its index."""
+    def log(time, kind, vehicle_id, rsd_id, lane, detail):
+        events.append(ScenarioEvent(time, len(events), kind, vehicle_id, rsd_id, lane, detail))
+    return log
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,5 @@ class HeapEngine(_Engine):
             handler(time, *payload)
         for pool in self.pools.values():
             while pool.pending:
-                vehicle, _ = pool.pending.popleft()
-                self._fail(self.duration, vehicle, "pool-empty")
+                self._pool_empty(self.duration, pool, pool.pending.popleft()[0])
         return self._metrics()

@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,7 +29,7 @@ from kljnsim import (
 from kljnsim.cli import _fmt, main as cli_main
 from kljnsim.lifetime import secure_bit_rate
 from kljnsim.physics import KljnLineConfig
-from kljnsim.vanet import EventKind, Rsd, Rskp, Topology, _Engine
+from kljnsim.vanet import EventKind, Rsd, Rskp, Topology, _collector, _Engine
 from oracles import HeapEngine
 
 
@@ -216,13 +218,14 @@ class TestDetection:
         from kljnsim.vanet import _Engine
 
         s = Scenario.from_dict(small_scenario(duration_s=600.0))
+        events = []
         engine = _Engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol,
-                         s.pool, record_events=True, record_donations=False)
-        metrics = engine.run()
+                         s.pool, log=_collector(events), record_donations=False)
+        engine.run()
         pad = s.topology.rskps[0].pad_position
         circuit = s.traffic.circuit_length
         # Queued requests that expire fail later, away from the pad.
-        requests = [e for e in metrics.events
+        requests = [e for e in events
                     if e.kind == EventKind.KEY_REQUEST and e.detail != "fail:pool-empty"]
         assert requests
         for e in requests:
@@ -292,7 +295,7 @@ class TestRunScenario:
 
         s = Scenario.from_dict(small_scenario())
         engine = _Engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol,
-                         s.pool, record_events=False, record_donations=False)
+                         s.pool, log=None, record_donations=False)
         first = copy.deepcopy(engine.run())
         assert first.per_rsd["rsd-1"].pool_generated > 0
         # Neither a second aggregation nor an edit of a returned value may
@@ -629,15 +632,61 @@ def test_events_csv_matches_cell_oracle(endpoint, tmp_path):
     assert all(isinstance(e.kind, EventKind) for e in events)
     assert any(e.vehicle_id is None and e.lane is None for e in events
                if e.kind is EventKind.POOL_REFILL)
+    assert (out / "events.csv").read_bytes() == cell_oracle(events)
+
+
+def cell_oracle(events):
+    """The bytes of events.csv, each cell of the library's log through ``_fmt``."""
     rows = ["time_s,sequence,kind,vehicle_id,rsd_id,lane,detail"] + [
         ",".join(_fmt(cell) for cell in (e.time, e.sequence, e.kind.value,
                                          e.vehicle_id, e.rsd_id, e.lane, e.detail))
         for e in events
     ]
-    assert (out / "events.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+    return ("\n".join(rows) + "\n").encode()
 
 
-def tie_engine(duration_s=1000.0, circuit_length=3000.0, engine=_Engine):
+def test_events_csv_per_run_matches_cell_oracle(tmp_path):
+    spec = churn_spec()
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(config), "--seed", "7", "--runs", "2",
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("events*")) == [
+        "events_run000.csv", "events_run001.csv"]
+    for run in (0, 1):
+        events = Scenario.from_dict(spec).run(seed=np.random.SeedSequence([7, run])).events
+        assert (out / f"events_run{run:03d}.csv").read_bytes() == cell_oracle(events)
+
+
+def test_events_csv_streams_in_bounded_memory(tmp_path):
+    """The CLI writes each row as it happens; the library keeps the log."""
+    spec = churn_spec()
+    spec["duration_s"] = 20_000.0
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(spec))
+    scenario = Scenario.from_dict(spec)
+
+    def peak_bytes(call):
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        library = peak_bytes(lambda: scenario.run(record_events=True))
+        cli = peak_bytes(lambda: cli_main(["simulate", "--config", str(config),
+                                           "--out", str(tmp_path / "out")]))
+    finally:
+        tracemalloc.stop()
+    with (tmp_path / "out" / "events.csv").open() as handle:
+        assert sum(1 for _ in handle) > 20_000
+    assert cli < library / 2
+
+
+def tie_engine(duration_s=1000.0, circuit_length=3000.0, engine=_Engine, log=None):
     """One vehicle enters the pad at 1.0 s and laps in circuit/30 s: at the
     default 100 s its crossings land at 1, 101, 201, ... s, on the 1 s pool
     refills."""
@@ -645,7 +694,7 @@ def tie_engine(duration_s=1000.0, circuit_length=3000.0, engine=_Engine):
                            arrival_rate_per_lane=1e-9)
     engine = engine(build_topology(one_rsd_spec()), traffic, duration_s, 1,
                     ProtocolParams(), PoolParams(initial_fill=0.0),
-                    record_events=True, record_donations=False)
+                    log=log, record_donations=False)
     engine._push(1.0, engine._on_arrival, ("lane-1", "poisson"))
     return engine
 
@@ -665,9 +714,9 @@ def crossings_by_horizon(engine):
     return total
 
 
-def window_edge_engine(name, engine=_Engine, record_events=False):
+def window_edge_engine(name, engine=_Engine, log=None):
     if name == "tie":
-        return tie_engine(duration_s=901.0, engine=engine)
+        return tie_engine(duration_s=901.0, engine=engine, log=log)
     spec = small_scenario()
     traffic = spec["traffic"]
     traffic.update(initial_vehicles_per_lane=40, circuit_length=1200.0)
@@ -678,19 +727,20 @@ def window_edge_engine(name, engine=_Engine, record_events=False):
         spec["topology"]["rskps"][0].update(detector_latency_s=0.05, pad_position_m=1234.5)
     s = Scenario.from_dict(spec)
     return engine(s.topology, s.traffic, s.duration_s, s.seed, s.protocol, s.pool,
-                  record_events=record_events, record_donations=False)
+                  log=log, record_donations=False)
 
 
 class TestEventOrder:
     def test_crossing_ties_keep_push_order(self):
-        metrics = tie_engine().run()
+        events = []
+        metrics = tie_engine(log=_collector(events)).run()
         # The 101 s crossing was pushed at 1 s, the refill at 100 s.
-        assert [e.kind.value for e in metrics.events if e.time == 101.0] == [
+        assert [e.kind.value for e in events if e.time == 101.0] == [
             "key-request", "donation-start", "pool-refill"]
         assert metrics.donation_success == 10
         rows = "".join(
             f"{e.time!r},{e.sequence},{e.kind.value},{e.vehicle_id},{e.detail}\n"
-            for e in metrics.events
+            for e in events
         )
         summary = repr(dataclasses.replace(metrics, events=None))
         assert hashlib.sha256((rows + summary).encode()).hexdigest() == (
@@ -700,9 +750,10 @@ class TestEventOrder:
         # On a 0.5 s lap the 3.0 s refill was pushed at 2.0 s, before the
         # 3.0 s crossing (pushed at 2.5 s), so the refill runs first even
         # though the crossing waits outside the heap.
-        metrics = tie_engine(duration_s=10.0, circuit_length=15.0).run()
+        events = []
+        tie_engine(duration_s=10.0, circuit_length=15.0, log=_collector(events)).run()
         assert [e.detail if e.kind is EventKind.KEY_REQUEST else e.kind.value
-                for e in metrics.events if e.time == 3.0] == [
+                for e in events if e.time == 3.0] == [
             "pool-refill", "fail:pool-empty", "granted", "donation-start"]
 
     @pytest.mark.parametrize("name", ["lap-equals-window", "latency-pad-offset", "tie"])
@@ -763,31 +814,32 @@ MAX_CROSSINGS = 4000
 
 
 def heap_oracle_agrees(make):
-    """Run ``make(engine_class)`` on the batched engine and on the one-heap
-    oracle; metrics and the whole event log must be equal."""
-    oracle = make(HeapEngine)
-    expected = oracle.run()
-    assert make(_Engine).run() == expected
+    """``make(engine_class, log)`` builds an engine. The batched engine and
+    the one-heap oracle must give equal metrics and equal event logs."""
+    expected_log, log = [], []
+    oracle = make(HeapEngine, _collector(expected_log))
+    assert make(_Engine, _collector(log)).run() == oracle.run()
+    assert log == expected_log
     assert oracle.crossings_pushed <= MAX_CROSSINGS
-    return expected
+    return expected_log
 
 
 class TestHeapOracle:
     @pytest.mark.parametrize("circuit", [3000.0, 15.0])
     def test_tie_engines(self, circuit):
         assert heap_oracle_agrees(
-            lambda engine: tie_engine(circuit_length=circuit, engine=engine)).events
+            lambda engine, log: tie_engine(circuit_length=circuit, engine=engine, log=log))
 
     @pytest.mark.parametrize("name", ["lap-equals-window", "latency-pad-offset", "tie"])
     def test_window_edge_shapes(self, name):
-        heap_oracle_agrees(lambda engine: window_edge_engine(name, engine, record_events=True))
+        assert heap_oracle_agrees(functools.partial(window_edge_engine, name))
 
     @given(spec=small_scenarios())
     def test_drawn_scenarios(self, spec):
         s = Scenario.from_dict(spec)
-        heap_oracle_agrees(lambda engine: engine(
+        heap_oracle_agrees(lambda engine, log: engine(
             s.topology, s.traffic, s.duration_s, s.seed, s.protocol, s.pool,
-            record_events=True, record_donations=False))
+            log=log, record_donations=False))
 
 
 INVARIANT_SPECS = {
@@ -860,7 +912,7 @@ class TestNonFiniteRejected:
         s = Scenario.from_dict(small_scenario())
         with pytest.raises(InvalidParameterError, match="^duration_s must be finite"):
             _Engine(s.topology, s.traffic, duration, 1, s.protocol, s.pool,
-                    record_events=False, record_donations=False)
+                    log=None, record_donations=False)
 
 
 NON_INTEGER = [
