@@ -36,7 +36,6 @@ from .vanet import EventKind, NetworkMetrics, Scenario, _Engine, make_homogeneou
 
 DEFAULT_SEED = 12345
 _KIND_NAMES = {kind: kind.value for kind in EventKind}
-_CHUNK_ROWS = 4096
 
 
 def _fmt(value) -> str:
@@ -208,10 +207,8 @@ def cmd_simulate(config: dict, seed, outdir: Path, suffix: str) -> None:
 
 
 def _run_streaming_events(scenario: Scenario, seed, path: Path) -> NetworkMetrics:
-    """Run ``scenario``, writing each event row to ``path`` as it happens.
-
-    The engine is built, and so every config error raised, before the
-    file opens. Rows go out in chunks of ``_CHUNK_ROWS`` lines."""
+    """Run ``scenario`` and write each event row to ``path`` as it happens, in
+    chunks of 4096 lines; the engine, so every config check, comes first."""
     rows: list[str] = []
     sequence = itertools.count()
 
@@ -221,7 +218,7 @@ def _run_streaming_events(scenario: Scenario, seed, path: Path) -> NetworkMetric
             f"{time:.12g},{next(sequence)},{_KIND_NAMES[kind]},{'' if vid is None else vid},"
             f"{'' if rsd is None else rsd},{'' if lane is None else lane},{detail}\n"
         )
-        if len(rows) >= _CHUNK_ROWS:
+        if len(rows) >= 4096:
             handle.writelines(rows)
             rows.clear()
 

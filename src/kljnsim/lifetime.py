@@ -46,15 +46,13 @@ def secure_bit_rate(bandwidth: float, gamma: float, parallel_channels: int = 1) 
         raise InvalidParameterError("bandwidth must be positive")
     if gamma < 1:
         raise InvalidParameterError("gamma must be at least 1")
-    if parallel_channels < 1:
-        raise InvalidParameterError("parallel_channels must be at least 1")
+    require_count("parallel_channels", parallel_channels, 1)
     return parallel_channels * bandwidth / (2.0 * gamma)
 
 
 def car_density(car_count: float, kljn_unit_count: int) -> float:
     """Cars served per key-exchange unit (real-valued ratio)."""
-    if kljn_unit_count < 1:
-        raise InvalidParameterError("kljn_unit_count must be at least 1")
+    require_count("kljn_unit_count", kljn_unit_count, 1)
     if car_count < 0:
         raise InvalidParameterError("car_count must be non-negative")
     return car_count / kljn_unit_count

@@ -28,14 +28,16 @@ DEFAULT_OVERSAMPLE = 10.0
 
 def require_finite(**fields) -> None:
     """Reject NaN, ±inf and ints too large for a float, naming the field
-    (``from_dict`` checks JSON)."""
+    (``from_dict`` checks JSON). A tuple is checked element by element."""
     for name, value in fields.items():
-        try:
-            finite = value is None or np.isfinite(value).all()
-        except TypeError:  # numpy keeps an int beyond float range as an object
-            finite = False
-        if not finite:
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            try:
+                if item is None or math.isfinite(item):
+                    continue
+                shown = repr(value)
+            except OverflowError:
+                shown = "an int beyond float range"
+            raise InvalidParameterError(f"{name} must be finite, got {shown}")
 
 
 def require_count(name: str, value, least: int) -> None:

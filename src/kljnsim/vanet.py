@@ -333,10 +333,8 @@ class _Engine:
     takes the waiting ``(time, sequence, vehicle, entry)`` crossings (one per
     vehicle) a lap-long window at a time and merges them, sorted, with the
     heap. Each keeps the sequence number a push would have given it, so the
-    order is a single heap's, ties included.
-
-    ``log``, when not None, is called once per event row as
-    ``log(time, kind, vehicle_id, rsd_id, lane, detail)``, in row order."""
+    order is a single heap's, ties included. ``log``, unless None, gets each
+    event row in order as ``log(time, kind, vehicle_id, rsd_id, lane, detail)``."""
 
     def __init__(
         self,
@@ -480,18 +478,12 @@ class _Engine:
         next_entry = entry + self.circuit / speed
         self._cross(next_entry + rskp.detector_latency, vehicle, next_entry)
 
-        log = self.log
-        key = vehicle.current_key
+        log, key, key_bits = self.log, vehicle.current_key, self.key_bits
+        latest_start = entry + rskp.pad_length / speed - key_bits / rskp.transfer_rate
         if key is not None and t - vehicle.key_issued_at < self.ttl:
             self.skipped_valid_key += 1
-            if log:
-                log(t, EventKind.KEY_REQUEST, vehicle.id, rskp.rsd_id, rskp.lane,
-                    "skipped-valid-key")
-            return
-
-        key_bits = self.key_bits
-        latest_start = entry + rskp.pad_length / speed - key_bits / rskp.transfer_rate
-        if t > latest_start:
+            detail = "skipped-valid-key"
+        elif t > latest_start:
             rm.fail_window_too_short += 1
             detail = "fail:window-too-short"
         elif key is None:
@@ -678,11 +670,9 @@ def run_scenario(
     ``protocol.gamma``. Donation failures are metrics, not errors.
     """
     events = [] if record_events else None
-    engine = _Engine(
-        topology, traffic, duration_s, seed, protocol, pool,
-        _collector(events) if record_events else None, record_donations,
-    )
-    metrics = engine.run()
+    log = _collector(events) if record_events else None
+    metrics = _Engine(topology, traffic, duration_s, seed, protocol, pool, log,
+                      record_donations).run()
     metrics.events = events
     return metrics
 

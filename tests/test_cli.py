@@ -153,6 +153,20 @@ class TestSimulateCommand:
         assert "topology.rskps[0]: unknown field(s) ['pad_lenght_m']" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_engine_error_with_event_log_writes_no_file(self, tmp_path, capsys):
+        # The engine, not the parser, finds that a 10-bit pool cannot hold a
+        # 100-bit key; it is built before events.csv opens.
+        from kljnsim import make_homogeneous_scenario
+
+        spec = make_homogeneous_scenario(vehicle_count=4, duration_s=100.0)
+        spec["record_events"] = True
+        spec["pool"]["capacity_bits"] = 10
+        cfg = write_json(tmp_path / "s.json", spec)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 2
+        assert "pool capacity must hold at least one key" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
     @pytest.mark.parametrize("where, value, named", [
         ("pad_length_m", "two", "topology.rskps[0].pad_length_m: expected a number"),

@@ -231,12 +231,22 @@ class TestNonFiniteRejected:
             LifetimeParams(**{**WORKED, field: value})
 
 
-@pytest.mark.parametrize("field, counts", [
-    ("parallel_channels", dict(car_density=10, parallel_channels=1.5)),
-    ("kljn_unit_count", dict(car_count=5, kljn_unit_count=2.5)),
-], ids=["parallel_channels", "kljn_unit_count"])
-def test_non_integer_count_rejected(field, counts):
+@pytest.mark.parametrize("field, call", [
+    ("parallel_channels", lambda: LifetimeParams(car_density=10, parallel_channels=1.5)),
+    ("kljn_unit_count", lambda: LifetimeParams(car_count=5, kljn_unit_count=2.5)),
+    ("parallel_channels", lambda: secure_bit_rate(2e4, 100.0, 1.5)),
+    ("kljn_unit_count", lambda: car_density(5, 2.5)),
+], ids=["parallel_channels", "kljn_unit_count", "secure_bit_rate", "car_density"])
+def test_non_integer_count_rejected(field, call):
     # A hand-built 1.5 channels used to report 150 bit/s, and 2.5 units a
-    # density of 2.0.
+    # density of 2.0; the planner functions took them too.
     with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer >= 1, "):
-        LifetimeParams(**counts)
+        call()
+
+
+def test_int_beyond_digit_limit_named():
+    # Python refuses to print an int of over 4,300 digits, so a message that
+    # shows the value raised ValueError in place of naming the field.
+    with pytest.raises(InvalidParameterError,
+                       match="^car_count must be finite, got an int beyond float range$"):
+        LifetimeParams(car_count=10**5000, kljn_unit_count=1)
