@@ -662,7 +662,10 @@ def test_events_csv_per_run_matches_cell_oracle(tmp_path):
 def test_events_csv_streams_in_bounded_memory(tmp_path):
     """The CLI writes each row as it happens; the library keeps the log."""
     spec = churn_spec()
-    spec["duration_s"] = 20_000.0
+    # 1 km lines refill each pool once a second: ~21k rows in 7,500 s.
+    spec["duration_s"] = 7_500.0
+    for rsd in spec["topology"]["rsds"]:
+        rsd["line"] = {"line_length": 1000.0}
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(spec))
     scenario = Scenario.from_dict(spec)
