@@ -224,7 +224,7 @@ def _run_streaming_events(scenario: Scenario, seed, path: Path) -> NetworkMetric
 
     engine = _Engine(
         scenario.topology, scenario.traffic, scenario.duration_s, seed,
-        scenario.protocol, scenario.pool, log, False,
+        scenario.protocol, scenario.pool, log=log, record_donations=False,
     )
     with path.open("w", newline="\n") as handle:
         handle.write("time_s,sequence,kind,vehicle_id,rsd_id,lane,detail\n")
